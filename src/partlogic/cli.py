@@ -103,6 +103,8 @@ def cmd_check(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
+    if args.size is not None and args.size < 1:
+        raise _UsageError("--size must be at least 1")
     f = _parse_formula(args.formula)
     bindings: dict[str, Partition] = {}
     labels: tuple[str, ...] | None = None
@@ -240,7 +242,7 @@ def cmd_core(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_suite(args: argparse.Namespace, config: CliConfig) -> int:
-    checks = SUITES[args.name](jobs=config.jobs)
+    checks = SUITES[args.name]()
     failed = [c for c in checks if not c.passed]
     if config.format == "json":
         print(json.dumps({
@@ -266,12 +268,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--jobs", type=int, default=1)
 
     p_check = sub.add_parser("check", help="decide a formula classically and search for partition counterexamples")
     p_check.add_argument("formula", help="formula text, or - to read stdin")
     p_check.add_argument("--max-size", type=int, default=4, dest="max_size")
     p_check.add_argument("--budget", type=int, default=10**8)
+    p_check.add_argument("--jobs", type=int, default=1)
     add_common(p_check)
 
     p_eval = sub.add_parser("eval", help="evaluate a formula under partition bindings")
@@ -326,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args, config)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 is reserved for a counterexample or a failed suite; anything
+        # else that escapes a handler (deep recursion, say) is an error.
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,28 @@ def _require_same_universe(a, b) -> None:
         raise ValueError(f"universe size mismatch: {a.n} != {b.n}")
 
 
+def _component_labels(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Label each of ``0..n-1`` by a representative of its connected component.
+
+    Union-find with path halving; the one place the package merges
+    classes, shared by relation closure, meet, and the link-labelling
+    method.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return [find(u) for u in range(n)]
+
+
 @dataclass(frozen=True)
 class BinaryRelation:
     """A set of ordered pairs over ``{0..n-1} x {0..n-1}``.
@@ -132,33 +154,9 @@ class BinaryRelation:
     def closure(self) -> "BinaryRelation":
         """Smallest equivalence relation containing this one.
 
-        Union-find over the listed pairs; reflexivity and symmetry fall
-        out of rebuilding the relation from the resulting classes.
+        The classes are the connected components of the listed pairs.
         """
-        n = self.n
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        classes: dict[int, list[int]] = {}
-        for u in range(n):
-            classes.setdefault(find(u), []).append(u)
-        bits = 0
-        for members in classes.values():
-            row = 0
-            for v in members:
-                row |= 1 << v
-            for u in members:
-                bits |= row << (u * n)
-        return BinaryRelation(n, bits)
+        return Partition.from_labels(_component_labels(self.n, self)).inditset
 
     def interior(self) -> "BinaryRelation":
         """Largest ditset contained in this relation.

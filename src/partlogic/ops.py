@@ -10,9 +10,10 @@ method generalizes to all sixteen binary truth functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
-from .core import BinaryRelation, Partition, _require_same_universe, enumerate_partitions
+from .core import BinaryRelation, Partition, _component_labels, _require_same_universe, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,19 @@ def meet(p: Partition, q: Partition) -> Partition:
     Elements end up together exactly when a chain of overlapping blocks
     of the two operands connects them, i.e. the blocks are the classes
     of the equivalence relation generated by keeping together whatever
-    either operand keeps together.
+    either operand keeps together.  Each element is linked to the first
+    element of its block in either operand, and the blocks are read off
+    the connected components.
     """
     _require_same_universe(p, q)
-    return Partition.from_equivalence((p.inditset | q.inditset).closure())
+    return Partition.from_labels(_component_labels(p.n, chain(_block_links(p), _block_links(q))))
+
+
+def _block_links(p: Partition) -> Iterator[tuple[int, int]]:
+    """Pair every element with the least element of its block."""
+    first: dict[int, int] = {}
+    for u, b in enumerate(p.rgs):
+        yield u, first.setdefault(b, u)
 
 
 def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
@@ -152,20 +162,7 @@ def binary_op_graph(op: BoolOp2, p: Partition, q: Partition) -> Partition:
     remains.  ``p`` supplies the left truth-table argument and ``q`` the
     right one.  Isolated vertices become singleton blocks.
     """
-    links = retained_links(op, p, q)
-    parent = list(range(p.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in links:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return Partition.from_labels([find(u) for u in range(p.n)])
+    return Partition.from_labels(_component_labels(p.n, retained_links(op, p, q)))
 
 
 def implication_graph(sigma: Partition, pi: Partition) -> Partition:

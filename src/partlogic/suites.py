@@ -1,17 +1,22 @@
-"""Named check suites runnable from the command line.
+"""Named check suites: the package's acceptance checks.
 
 Each suite is a fixed list of checks over small universes, exercising
 the theorem-level properties of the operations: implication-definition
 agreement, overlap of distinction sets, the Boolean core laws, the
 negation identities, the pinned non-distributivity example, and the
-tautology engine.  Suites return structured results; the CLI renders
-them and turns failures into its exit code.
+tautology engine.  This module is the only definition of these checks:
+``partlogic suite <name>`` and the acceptance tests both run them.
+Suites return structured results, and a failed check names its first
+failing input in ``detail``; the CLI renders them and turns failures
+into its exit code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from typing import Callable, Iterable, Iterator
 
 from .algebra import (
     boolean_core,
@@ -21,7 +26,14 @@ from .algebra import (
     excluded_middle_partition,
 )
 from .core import BinaryRelation, Partition, enumerate_partitions, refines
-from .formula import find_partition_counterexample, is_subset_tautology, parse, pi_negation_transform
+from .formula import (
+    Assignment,
+    Formula,
+    find_partition_counterexample,
+    is_subset_tautology,
+    parse,
+    pi_negation_transform,
+)
 from .ops import (
     AND,
     IMPLIES,
@@ -74,53 +86,46 @@ class CheckResult:
     detail: str = ""
 
 
-def _pinned_example() -> tuple[Partition, Partition, Partition]:
-    sigma = Partition.from_blocks([[0], [1, 2, 3]], 4)
-    pi = Partition.from_blocks([[0, 1], [2, 3]], 4)
-    expected = Partition.from_blocks([[0, 1], [2], [3]], 4)
-    return sigma, pi, expected
+def _check(name: str, failure: str | None) -> CheckResult:
+    """A passed check, or a failed one whose detail is its first failing input."""
+    return CheckResult(name, failure is None, failure or "")
 
 
-def suite_implication_equivalence(jobs: int = 1) -> list[CheckResult]:
-    results = []
-    sigma, pi, expected = _pinned_example()
-    results.append(CheckResult(
-        "pinned example: block rule gives {{a,b},{c},{d}}",
-        implication_blocks(sigma, pi) == expected,
-    ))
-    results.append(CheckResult(
-        "pinned example: exactly one retained link a-b",
-        retained_links(IMPLIES, sigma, pi).pairs() == frozenset({(0, 1), (1, 0)}),
-    ))
-    results.append(CheckResult(
-        "pinned example: all four definitions agree",
-        implication_graph(sigma, pi) == expected
-        and implication_interior(sigma, pi) == expected
-        and implication_adjunctive(sigma, pi) == expected,
-    ))
-    for n in range(2, 7):
+def _first(failures: Iterable[str]) -> str | None:
+    return next(iter(failures), None)
+
+
+def _expect(name: str, got, expected) -> CheckResult:
+    return _check(name, None if got == expected else f"got {got}, expected {expected}")
+
+
+def _describe(cex: Assignment | None) -> str:
+    if cex is None:
+        return "no counterexample"
+    bound = ", ".join(f"{name}={p}" for name, p in sorted(cex.bindings.items()))
+    return f"counterexample at n={cex.n}: {bound}"
+
+
+def _disagreements(
+    sizes: Iterable[int],
+    reference: Callable[[Partition, Partition], Partition],
+    oracles: dict[str, Callable[[Partition, Partition], Partition]],
+) -> Iterator[str]:
+    """Each pair of partitions, at every size in ``sizes``, on which an oracle differs from ``reference``."""
+    for n in sizes:
         parts = list(enumerate_partitions(n))
-        bad = 0
         for s in parts:
             for p in parts:
-                reference = implication_blocks(s, p)
-                if implication_graph(s, p) != reference or implication_interior(s, p) != reference:
-                    bad += 1
-        results.append(CheckResult(
-            f"block = graph = interior on all {len(parts)}^2 pairs, n={n}",
-            bad == 0,
-            "" if bad == 0 else f"{bad} disagreements",
-        ))
-    for n in range(2, 6):
-        parts = list(enumerate_partitions(n))
-        ok = all(
-            implication_adjunctive(s, p) == implication_blocks(s, p)
-            for s in parts
-            for p in parts
-        )
-        results.append(CheckResult(f"adjunctive oracle agrees on all pairs, n={n}", ok))
-    ok = True
-    for n in range(2, 5):
+                expected = reference(s, p)
+                for label, oracle in oracles.items():
+                    got = oracle(s, p)
+                    if got != expected:
+                        yield f"{label}({s}, {p}) = {got}, expected {expected}"
+
+
+def _truth_function_mismatches(sizes: Iterable[int]) -> Iterator[str]:
+    """Pairs on which the link-labelling method differs from the interior of the true links."""
+    for n in sizes:
         parts = list(enumerate_partitions(n))
         off = BinaryRelation.identity(n).complement()
         for op in all_binary_ops():
@@ -128,79 +133,122 @@ def suite_implication_equivalence(jobs: int = 1) -> list[CheckResult]:
                 for p in parts:
                     true_links = off - retained_links(op, s, p)
                     if binary_op_graph(op, s, p).ditset != true_links.interior():
-                        ok = False
-    results.append(CheckResult("all 16 truth functions: components match interior of true links, n<=4", ok))
+                        table = "".join(str(int(v)) for v in op.table)
+                        yield f"truth table {table} on {s}, {p}"
+
+
+def _pinned_example() -> tuple[Partition, Partition, Partition]:
+    sigma = Partition.from_blocks([[0], [1, 2, 3]], 4)
+    pi = Partition.from_blocks([[0, 1], [2, 3]], 4)
+    expected = Partition.from_blocks([[0, 1], [2], [3]], 4)
+    return sigma, pi, expected
+
+
+def suite_implication_equivalence() -> list[CheckResult]:
+    sigma, pi, expected = _pinned_example()
+    oracles = {"graph": implication_graph, "interior": implication_interior, "adjunctive": implication_adjunctive}
+    results = [
+        _expect("pinned example: block rule gives {{a,b},{c},{d}}", implication_blocks(sigma, pi), expected),
+        _expect(
+            "pinned example: exactly one retained link a-b",
+            sorted(retained_links(IMPLIES, sigma, pi)),
+            [(0, 1), (1, 0)],
+        ),
+        _check("pinned example: all four definitions agree", _first(
+            f"{label} gives {oracle(sigma, pi)}"
+            for label, oracle in oracles.items()
+            if oracle(sigma, pi) != expected
+        )),
+    ]
+    for n in range(1, 7):
+        results.append(_check(
+            f"block = graph = interior on all pairs, n={n}",
+            _first(_disagreements([n], implication_blocks, {
+                "graph": implication_graph,
+                "interior": implication_interior,
+            })),
+        ))
+    for n in range(1, 6):
+        results.append(_check(
+            f"adjunctive oracle agrees on all pairs, n={n}",
+            _first(_disagreements([n], implication_blocks, {"adjunctive": implication_adjunctive})),
+        ))
+    results.append(_check(
+        "all 16 truth functions: components match interior of true links, n<=4",
+        _first(_truth_function_mismatches(range(1, 5))),
+    ))
     for name, op, lattice_op in (("disjunction", OR, join), ("conjunction", AND, meet)):
-        ok = True
-        for n in range(2, 6):
-            parts = list(enumerate_partitions(n))
-            for s in parts:
-                for p in parts:
-                    if binary_op_graph(op, s, p) != lattice_op(s, p):
-                        ok = False
-        results.append(CheckResult(f"{name} table matches the lattice operation, n<=5", ok))
+        results.append(_check(
+            f"{name} table matches the lattice operation, n<=5",
+            _first(_disagreements(range(1, 6), lattice_op, {name: partial(binary_op_graph, op)})),
+        ))
     return results
 
 
-def suite_common_dits(jobs: int = 1) -> list[CheckResult]:
+def suite_common_dits() -> list[CheckResult]:
     results = []
     for n in range(2, 7):
         nontrivial = [p for p in enumerate_partitions(n) if p != Partition.indiscrete(n)]
-        ok = all(
-            len(p.ditset & q.ditset) > 0
+        results.append(_check(f"non-empty ditsets pairwise overlap, n={n}", _first(
+            f"disjoint ditsets: {p}, {q}"
             for p in nontrivial
             for q in nontrivial
-        )
-        results.append(CheckResult(f"non-empty ditsets pairwise overlap, n={n}", ok))
-    ok = True
-    for n in range(2, 7):
-        atomic = [p for p in enumerate_partitions(n) if p.num_blocks == 2]
-        for p, q in combinations(atomic, 2):
-            if len(p.ditset & q.ditset) == 0:
-                ok = False
-    results.append(CheckResult("two-block partitions pairwise overlap, n<=6", ok))
+            if len(p.ditset & q.ditset) == 0
+        )))
+    results.append(_check("two-block partitions pairwise overlap, n<=6", _first(
+        f"disjoint ditsets: {p}, {q}"
+        for n in range(2, 7)
+        for p, q in combinations([p for p in enumerate_partitions(n) if p.num_blocks == 2], 2)
+        if len(p.ditset & q.ditset) == 0
+    )))
     return results
 
 
-def suite_boolean_core(jobs: int = 1) -> list[CheckResult]:
-    size_ok = iso_ok = complement_ok = cardinality_ok = True
+def suite_boolean_core() -> list[CheckResult]:
+    size = "core size is 2^(non-singleton blocks), with bottom pi and top discrete, n<=5"
+    iso = "subset maps preserve join, meet, and complement, n<=5"
+    complement = "complement laws: meet with negation is pi, join is discrete, n<=5"
+    cardinality = "powerset cardinality identity, n<=5"
+    first: dict[str, str] = {}
     for n in range(1, 6):
+        top = Partition.discrete(n)
         for pi in enumerate_partitions(n):
             core = boolean_core(pi)
             k = len(core.ns_blocks)
-            if len(core) != 2**k or core.bottom != pi or core.top != Partition.discrete(n):
-                size_ok = False
-            subsets = list(range(1 << k))
+            if len(core) != 2**k or core.bottom != pi or core.top != top:
+                first.setdefault(size, f"pi={pi}: {len(core)} members from {core.bottom} to {core.top}")
+            subsets = range(1 << k)
             for a in subsets:
                 member_a = core.members[a]
                 if core_from_subset(core, [i for i in range(k) if a >> i & 1]) != member_a:
-                    iso_ok = False
+                    first.setdefault(iso, f"pi={pi}: subset map at mask {a}")
                 if pi_negation(member_a, pi) != core.members[(~a) & ((1 << k) - 1)]:
-                    iso_ok = False
+                    first.setdefault(iso, f"pi={pi}: complement map at mask {a}")
                 for b in subsets:
                     member_b = core.members[b]
                     if join(member_a, member_b) != core.members[a | b]:
-                        iso_ok = False
+                        first.setdefault(iso, f"pi={pi}: join at masks {a}, {b}")
                     if meet(member_a, member_b) != core.members[a & b]:
-                        iso_ok = False
+                        first.setdefault(iso, f"pi={pi}: meet at masks {a}, {b}")
             for member in core.members:
                 negated = pi_negation(member, pi)
-                if meet(member, negated) != pi or join(member, negated) != Partition.discrete(n):
-                    complement_ok = False
+                if meet(member, negated) != pi or join(member, negated) != top:
+                    first.setdefault(complement, f"pi={pi}, member {member}")
             singletons = pi.num_blocks - k
             if 2**pi.num_blocks != len(core) * 2**singletons:
-                cardinality_ok = False
-    return [
-        CheckResult("core size is 2^(non-singleton blocks), with bottom pi and top discrete, n<=5", size_ok),
-        CheckResult("subset maps preserve join, meet, and complement, n<=5", iso_ok),
-        CheckResult("complement laws: meet with negation is pi, join is discrete, n<=5", complement_ok),
-        CheckResult("powerset cardinality identity, n<=5", cardinality_ok),
-    ]
+                first.setdefault(cardinality, f"pi={pi}")
+    return [_check(name, first.get(name)) for name in (size, iso, complement, cardinality)]
 
 
-def suite_identities(jobs: int = 1) -> list[CheckResult]:
-    closure_ok = join_below_ok = em_above_pi_ok = em_negation_ok = True
-    em_dense_ok = decomposition_ok = triple_ok = True
+def suite_identities() -> list[CheckResult]:
+    closure = "sigma refines into its double negation, n<=5"
+    join_below = "the join with pi refines into the double negation, n<=5"
+    em_above_pi = "pi refines into the excluded-middle partition, n<=5"
+    em_negation = "negating the excluded-middle partition gives back pi, n<=5"
+    em_dense = "the excluded-middle partition is dense: double negation is discrete, n<=5"
+    decomposition = "join decomposition through the core, n<=5"
+    triple = "triple negation collapses to single negation, n<=5"
+    first: dict[str, str] = {}
     for n in range(1, 6):
         parts = list(enumerate_partitions(n))
         top = Partition.discrete(n)
@@ -208,33 +256,24 @@ def suite_identities(jobs: int = 1) -> list[CheckResult]:
             for pi in parts:
                 ddn = double_pi_negation(sigma, pi)
                 em = excluded_middle_partition(sigma, pi)
-                if not refines(sigma, ddn):
-                    closure_ok = False
-                if not refines(join(sigma, pi), ddn):
-                    join_below_ok = False
-                if not refines(pi, em):
-                    em_above_pi_ok = False
-                if pi_negation(em, pi) != pi:
-                    em_negation_ok = False
-                if double_pi_negation(em, pi) != top:
-                    em_dense_ok = False
-                if not check_join_decomposition(sigma, pi):
-                    decomposition_ok = False
-                neg = pi_negation(sigma, pi)
-                if pi_negation(double_pi_negation(sigma, pi), pi) != neg:
-                    triple_ok = False
+                for name, ok in (
+                    (closure, refines(sigma, ddn)),
+                    (join_below, refines(join(sigma, pi), ddn)),
+                    (em_above_pi, refines(pi, em)),
+                    (em_negation, pi_negation(em, pi) == pi),
+                    (em_dense, double_pi_negation(em, pi) == top),
+                    (decomposition, check_join_decomposition(sigma, pi)),
+                    (triple, pi_negation(ddn, pi) == pi_negation(sigma, pi)),
+                ):
+                    if not ok:
+                        first.setdefault(name, f"sigma={sigma}, pi={pi}")
     return [
-        CheckResult("sigma refines into its double negation, n<=5", closure_ok),
-        CheckResult("the join with pi refines into the double negation, n<=5", join_below_ok),
-        CheckResult("pi refines into the excluded-middle partition, n<=5", em_above_pi_ok),
-        CheckResult("negating the excluded-middle partition gives back pi, n<=5", em_negation_ok),
-        CheckResult("the excluded-middle partition is dense: double negation is discrete, n<=5", em_dense_ok),
-        CheckResult("join decomposition through the core, n<=5", decomposition_ok),
-        CheckResult("triple negation collapses to single negation, n<=5", triple_ok),
+        _check(name, first.get(name))
+        for name in (closure, join_below, em_above_pi, em_negation, em_dense, decomposition, triple)
     ]
 
 
-def suite_figure3(jobs: int = 1) -> list[CheckResult]:
+def suite_figure3() -> list[CheckResult]:
     pi = Partition.from_blocks([[0, 1], [2]], 3)
     sigma = Partition.from_blocks([[0], [1, 2]], 3)
     tau = Partition.from_blocks([[1], [0, 2]], 3)
@@ -243,54 +282,57 @@ def suite_figure3(jobs: int = 1) -> list[CheckResult]:
     left = join(pi, meet(sigma, tau))
     right = meet(join(pi, sigma), join(pi, tau))
     return [
-        CheckResult("the two side partitions meet to the bottom", meet(sigma, tau) == bottom),
-        CheckResult("each pair of middle partitions joins to the top",
-                    join(pi, sigma) == top and join(pi, tau) == top),
-        CheckResult("join over the meet stays at pi", left == pi),
-        CheckResult("meet of the joins is the top", right == top),
-        CheckResult("the two sides differ, so the lattice is not distributive", left != right),
+        _expect("the two side partitions meet to the bottom", meet(sigma, tau), bottom),
+        _check("each pair of middle partitions joins to the top", _first(
+            f"join of {pi} and {other} is {join(pi, other)}" for other in (sigma, tau) if join(pi, other) != top
+        )),
+        _expect("join over the meet stays at pi", left, pi),
+        _expect("meet of the joins is the top", right, top),
+        _check("the two sides differ, so the lattice is not distributive",
+               None if left != right else f"both sides are {left}"),
     ]
 
 
-def suite_tautologies(jobs: int = 1) -> list[CheckResult]:
-    results = []
-    modus_ponens = parse("(s /\\ (s -> p)) -> p")
-    weak_em = parse("(s -> p) \\/ ((s -> p) -> p)")
-    results.append(CheckResult(
-        "modus ponens has no counterexample up to n=4",
-        find_partition_counterexample(modus_ponens, max_n=4, jobs=jobs) is None,
-    ))
-    results.append(CheckResult(
-        "weak excluded middle has no counterexample up to n=4",
-        find_partition_counterexample(weak_em, max_n=4, jobs=jobs) is None,
-    ))
-    em_cex = find_partition_counterexample(parse("s \\/ ~s"), max_n=4, jobs=jobs)
-    results.append(CheckResult(
-        "excluded middle survives n=2 and fails first at n=3",
-        em_cex is not None and em_cex.n == 3
-        and em_cex.bindings["s"] == Partition.from_blocks([[0, 1], [2]], 3),
-        "" if em_cex else "no counterexample found",
-    ))
-    bare_cex = find_partition_counterexample(parse("s"), max_n=4, jobs=jobs)
-    results.append(CheckResult(
-        "a bare variable fails at n=2",
-        bare_cex is not None and bare_cex.n == 2,
-    ))
+def _refute(f: Formula) -> Assignment | None:
+    return find_partition_counterexample(f, max_n=4)
+
+
+def suite_tautologies() -> list[CheckResult]:
+    em = parse("s \\/ ~s")
+    em_runs = [(jobs, find_partition_counterexample(em, max_n=4, jobs=jobs)) for jobs in (1, 1, 2, 4)]
+    em_cex = em_runs[0][1]
+    bare_cex = _refute(parse("s"))
+    results = [
+        _expect("modus ponens has no counterexample up to n=4",
+                _describe(_refute(parse("(s /\\ (s -> p)) -> p"))), _describe(None)),
+        _expect("weak excluded middle has no counterexample up to n=4",
+                _describe(_refute(parse("(s -> p) \\/ ((s -> p) -> p)"))), _describe(None)),
+        _expect("excluded middle survives n=2 and fails first at n=3",
+                _describe(em_cex), _describe(Assignment(3, {"s": Partition.from_blocks([[0, 1], [2]], 3)}))),
+        _check("the excluded-middle counterexample is the same in repeated runs and with 1, 2, 4 jobs", _first(
+            f"jobs={jobs} gave {_describe(cex)}" for jobs, cex in em_runs if cex != em_cex
+        )),
+        _check("a bare variable fails at n=2",
+               None if bare_cex is not None and bare_cex.n == 2 else _describe(bare_cex)),
+        _check("the corpus holds at least 10 classical tautologies",
+               None if len(CLASSICAL_TAUTOLOGIES) >= 10 else f"only {len(CLASSICAL_TAUTOLOGIES)}"),
+    ]
     for name, text in CLASSICAL_TAUTOLOGIES:
         f = parse(text)
-        transformed = pi_negation_transform(f, TRANSFORM_VARIABLE)
-        results.append(CheckResult(
-            f"transform of {name} has no counterexample up to n=4",
-            is_subset_tautology(f)
-            and find_partition_counterexample(transformed, max_n=4, jobs=jobs) is None,
-        ))
+        if not is_subset_tautology(f):
+            failure = "not a classical tautology"
+        else:
+            cex = _refute(pi_negation_transform(f, TRANSFORM_VARIABLE))
+            failure = None if cex is None else _describe(cex)
+        results.append(_check(f"transform of {name} has no counterexample up to n=4", failure))
     for name, text in NON_TAUTOLOGIES:
         f = parse(text)
-        cex = find_partition_counterexample(f, max_n=2, jobs=jobs)
-        results.append(CheckResult(
-            f"{name} is no classical tautology and fails at n=2",
-            not is_subset_tautology(f) and cex is not None and cex.n == 2,
-        ))
+        if is_subset_tautology(f):
+            failure = "a classical tautology"
+        else:
+            cex = _refute(f)
+            failure = None if cex is not None and cex.n == 2 else _describe(cex)
+        results.append(_check(f"{name} is no classical tautology and fails at n=2", failure))
     return results
 
 

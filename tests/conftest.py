@@ -1,4 +1,4 @@
-"""Shared oracles and strategies.
+"""Shared oracles, strategies, and suite results.
 
 The oracles here are deliberately independent of the package internals:
 plain set arithmetic over frozensets of pairs, and brute-force
@@ -15,6 +15,19 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from partlogic import Partition
+from partlogic.suites import SUITES
+
+_SUITE_FUNCTIONS = dict(SUITES)
+
+
+@lru_cache(maxsize=None)
+def suite_checks(name: str) -> tuple:
+    """Run a named suite once per test session and share its results.
+
+    The acceptance battery and the CLI tests both read suites; caching
+    keeps every check to a single run.
+    """
+    return tuple(_SUITE_FUNCTIONS[name]())
 
 
 @lru_cache(maxsize=None)

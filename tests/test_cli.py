@@ -1,8 +1,12 @@
+import functools
 import json
 
 import pytest
 
 from partlogic.cli import main
+from partlogic.suites import SUITES, CheckResult
+
+from conftest import suite_checks
 
 
 def run(capsys, *argv):
@@ -69,6 +73,11 @@ class TestCheck:
         code, _, err = run(capsys, "check", "s", "--jobs", "0")
         assert code == 2
 
+    def test_deep_negation_exits_two(self, capsys):
+        code, out, err = run(capsys, "check", "~" * 3000 + "s")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestEval:
     def test_worked_example(self, capsys):
@@ -85,6 +94,17 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "0 -> 0", "--size", "2")
         assert code == 0
         assert out.strip() == "{{a},{b}}"
+
+    def test_size_below_one(self, capsys):
+        for size in ("0", "-1"):
+            code, out, err = run(capsys, "eval", "0 -> 0", "--size", size)
+            assert (code, out) == (2, "")
+            assert "--size" in err
+
+    def test_deep_parentheses_exit_two(self, capsys):
+        code, out, err = run(capsys, "eval", "(" * 2000 + "s" + ")" * 2000, "s={{a}}")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_unbound_variable(self, capsys):
         code, _, err = run(capsys, "eval", "s -> p", "s={{a},{b}}")
@@ -168,6 +188,12 @@ class TestCore:
 
 
 class TestSuite:
+    @pytest.fixture(autouse=True)
+    def shared_suite_runs(self, monkeypatch):
+        # The acceptance battery runs the same suites; share one run of each.
+        for name in SUITES:
+            monkeypatch.setitem(SUITES, name, functools.partial(suite_checks, name))
+
     @pytest.mark.parametrize("name", ["figure3", "common-dits", "boolean-core", "identities"])
     def test_suites_pass(self, capsys, name):
         code, out, _ = run(capsys, "suite", name)
@@ -179,6 +205,19 @@ class TestSuite:
         data = json.loads(out)
         assert data["suite"] == "figure3" and data["passed"] is True
         assert all(c["passed"] for c in data["checks"])
+
+    def test_failed_check_exits_one_with_its_detail(self, capsys, monkeypatch):
+        failing = (CheckResult("holds", True), CheckResult("breaks", False, "n=3: {{0},{1,2}}"))
+        monkeypatch.setitem(SUITES, "figure3", lambda: failing)
+        code, out, _ = run(capsys, "suite", "figure3")
+        assert code == 1
+        assert "FAIL breaks  (n=3: {{0},{1,2}})" in out
+        assert out.strip().splitlines()[-1] == "suite figure3: 1/2 checks passed"
+
+    def test_jobs_only_on_check(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["suite", "figure3", "--jobs", "2"])
+        assert err.value.code == 2
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:

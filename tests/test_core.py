@@ -247,8 +247,9 @@ class TestRefinement:
 
 class TestEnumeration:
     def test_counts_match_oracle(self):
-        for n in range(1, 7):
-            assert {p.rgs for p in enumerate_partitions(n)} == oracle_partition_rgs(n)
+        for n in range(1, 8):
+            produced = {p.rgs for p in enumerate_partitions(n)}
+            assert produced == oracle_partition_rgs(n), f"enumeration differs from the label-quotient oracle at n={n}"
 
     def test_lexicographic_order(self):
         for n in range(1, 7):
