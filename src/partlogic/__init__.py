@@ -48,7 +48,6 @@ from .ops import (
     BoolOp2,
     all_binary_ops,
     binary_op_graph,
-    implication,
     implication_adjunctive,
     implication_blocks,
     implication_graph,
@@ -56,7 +55,6 @@ from .ops import (
     join,
     meet,
     negation,
-    pi_negation,
     retained_links,
 )
 
@@ -100,7 +98,6 @@ __all__ = [
     "format_partition",
     "format_rgs",
     "free_vars",
-    "implication",
     "implication_adjunctive",
     "implication_blocks",
     "implication_graph",
@@ -111,7 +108,6 @@ __all__ = [
     "negation",
     "parse",
     "parse_partition",
-    "pi_negation",
     "pi_negation_transform",
     "refines",
     "retained_links",

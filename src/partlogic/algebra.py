@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .core import Partition, _require_same_universe, refines
-from .ops import join, meet, pi_negation
+from .ops import implication_blocks, join, meet
 
 MAX_CORE_BLOCKS = 20
 
@@ -108,7 +108,7 @@ def double_pi_negation(sigma: Partition, pi: Partition) -> Partition:
     discretizes, so ``sigma`` always refines into the result.
     """
     _require_same_universe(sigma, pi)
-    return pi_negation(pi_negation(sigma, pi), pi)
+    return implication_blocks(implication_blocks(sigma, pi), pi)
 
 
 def excluded_middle_partition(sigma: Partition, pi: Partition) -> Partition:
@@ -118,7 +118,7 @@ def excluded_middle_partition(sigma: Partition, pi: Partition) -> Partition:
     its double negation is always discrete.
     """
     _require_same_universe(sigma, pi)
-    return join(sigma, pi_negation(sigma, pi))
+    return join(sigma, implication_blocks(sigma, pi))
 
 
 def check_join_decomposition(sigma: Partition, pi: Partition) -> bool:
@@ -145,8 +145,8 @@ def check_core_distribution(phi: Partition, pi: Partition, sigma: Partition, tau
     _require_same_universe(phi, sigma)
     if not refines(pi, phi):
         raise ValueError("phi must refine pi (lie in the segment above pi)")
-    neg_sigma = pi_negation(sigma, pi)
-    neg_tau = pi_negation(tau, pi)
+    neg_sigma = implication_blocks(sigma, pi)
+    neg_tau = implication_blocks(tau, pi)
     over_meet = join(phi, meet(neg_sigma, neg_tau)) == meet(join(phi, neg_sigma), join(phi, neg_tau))
     over_join = meet(phi, join(neg_sigma, neg_tau)) == join(meet(phi, neg_sigma), meet(phi, neg_tau))
     return over_meet and over_join

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import boolean_core, core_to_subset
 from .core import Partition, enumerate_partitions, refines
 from .formula import (
+    DEFAULT_BUDGET,
+    DEFAULT_MAX_SIZE,
     Assignment,
     ParseError,
     SearchBudgetExceeded,
@@ -36,25 +37,6 @@ MAX_ENUMERATE_SIZE = 10
 MAX_HASSE_SIZE = 6
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    max_size: int = 4
-    format: str = "text"
-    jobs: int = 1
-    budget: int = 10**8
-
-    def __post_init__(self):
-        if self.max_size < 2:
-            raise ValueError("--max-size must be at least 2")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.budget < 1:
-            raise ValueError("--budget must be positive")
-
-
 class _UsageError(Exception):
     pass
 
@@ -72,37 +54,41 @@ def _parse_formula(arg: str):
         raise _UsageError(f"syntax error: {exc}") from exc
 
 
-def cmd_check(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
+    if args.max_size < 2:
+        raise _UsageError("--max-size must be at least 2")
+    if args.budget < 1:
+        raise _UsageError("--budget must be positive")
     f = _parse_formula(args.formula)
     classical = is_subset_tautology(f)
     try:
-        cex = find_partition_counterexample(f, max_n=config.max_size, budget=config.budget, jobs=config.jobs)
+        cex = find_partition_counterexample(f, max_n=args.max_size, budget=args.budget)
     except SearchBudgetExceeded as exc:
         raise _UsageError(str(exc)) from exc
     report: dict = {"formula": format_formula(f), "classical": classical}
     if cex is None:
-        report["partition"] = {"status": "no_counterexample", "bound": config.max_size}
+        report["partition"] = {"status": "no_counterexample", "bound": args.max_size}
     else:
         report["partition"] = {
             "status": "counterexample",
             "n": cex.n,
             "assignment": {name: format_partition(p) for name, p in sorted(cex.bindings.items())},
-            "bound": config.max_size,
+            "bound": args.max_size,
         }
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(report))
     else:
         print(f"formula: {report['formula']}")
         print(f"classical: {'tautology' if classical else 'not a tautology'}")
         if cex is None:
-            print(f"partition: no counterexample up to n={config.max_size}")
+            print(f"partition: no counterexample up to n={args.max_size}")
         else:
             bound = ", ".join(f"{name}={text}" for name, text in report["partition"]["assignment"].items())
             print(f"partition: counterexample at n={cex.n}: {bound}")
     return 0 if cex is None else 1
 
 
-def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     if args.size is not None and args.size < 1:
         raise _UsageError("--size must be at least 1")
     f = _parse_formula(args.formula)
@@ -132,21 +118,21 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
         raise _UsageError(f"unbound variables: {', '.join(missing)}")
     result = eval_partition(f, Assignment(len(labels), bindings))
     text = format_partition(result, labels)
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({"formula": format_formula(f), "result": text}))
     else:
         print(text)
     return 0
 
 
-def cmd_table(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     if args.n > MAX_TABLE_SIZE:
         raise _UsageError(f"table supports universes up to {MAX_TABLE_SIZE}")
     op = TABLE_OPS[args.op]
     parts = list(enumerate_partitions(args.n))
     index = {p: i for i, p in enumerate(parts)}
     grid = [[index[op(p, q)] for q in parts] for p in parts]
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({
             "op": args.op,
             "n": args.n,
@@ -180,19 +166,19 @@ def _hasse_edges(parts: list[Partition]) -> list[tuple[int, int]]:
     )
 
 
-def cmd_enumerate(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n > MAX_ENUMERATE_SIZE:
         raise _UsageError(f"enumerate supports universes up to {MAX_ENUMERATE_SIZE}")
-    if config.format == "dot" and args.n > MAX_HASSE_SIZE:
+    if args.format == "dot" and args.n > MAX_HASSE_SIZE:
         raise _UsageError(f"the diagram output supports universes up to {MAX_HASSE_SIZE}")
     parts = list(enumerate_partitions(args.n))
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({
             "n": args.n,
             "count": len(parts),
             "partitions": [format_partition(p) for p in parts],
         }))
-    elif config.format == "dot":
+    elif args.format == "dot":
         print("digraph refinement {")
         print("  rankdir=BT;")
         print("  edge [dir=none];")
@@ -208,7 +194,7 @@ def cmd_enumerate(args: argparse.Namespace, config: CliConfig) -> int:
     return 0
 
 
-def cmd_core(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_core(args: argparse.Namespace) -> int:
     try:
         pi, labels = parse_partition(args.pi)
     except ValueError as exc:
@@ -220,7 +206,7 @@ def cmd_core(args: argparse.Namespace, config: CliConfig) -> int:
             "subset": sorted(core_to_subset(core, member)),
             "member": format_partition(member, labels),
         })
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({
             "pi": format_partition(pi, labels),
             "non_singleton_blocks": [
@@ -241,10 +227,10 @@ def cmd_core(args: argparse.Namespace, config: CliConfig) -> int:
     return 0
 
 
-def cmd_suite(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_suite(args: argparse.Namespace) -> int:
     checks = SUITES[args.name]()
     failed = [c for c in checks if not c.passed]
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({
             "suite": args.name,
             "passed": not failed,
@@ -271,9 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide a formula classically and search for partition counterexamples")
     p_check.add_argument("formula", help="formula text, or - to read stdin")
-    p_check.add_argument("--max-size", type=int, default=4, dest="max_size")
-    p_check.add_argument("--budget", type=int, default=10**8)
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, dest="max_size")
+    p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_common(p_check)
 
     p_eval = sub.add_parser("eval", help="evaluate a formula under partition bindings")
@@ -316,16 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig(
-            command=args.command,
-            max_size=getattr(args, "max_size", 4),
-            format=getattr(args, "format", "text"),
-            jobs=getattr(args, "jobs", 1),
-            budget=getattr(args, "budget", 10**8),
-        )
         if getattr(args, "n", 1) < 1:
             raise _UsageError("universe size must be at least 1")
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import Partition, enumerate_partitions
 from .ops import implication_blocks, join, meet
@@ -378,26 +377,24 @@ def find_partition_counterexample(
     f: Formula,
     max_n: int = DEFAULT_MAX_SIZE,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> Assignment | None:
     """Search universes of size 2 up to ``max_n`` for a falsifying assignment.
 
     Returns the lexicographically least counterexample, ordering by
     universe size, then by each variable's partition in enumeration
     order with variables sorted by name; the result is identical across
-    runs and worker counts.  ``None`` means no counterexample up to
-    ``max_n``, which is a bounded verdict, not a validity proof.
+    runs.  ``None`` means no counterexample up to ``max_n``, which is a
+    bounded verdict, not a validity proof.
 
     The two-partition universe behaves exactly like the classical truth
     values, so that level is decided by truth table: a classical
     counterexample converts directly and classical validity rules the
     level out.  Raises :class:`SearchBudgetExceeded` before scanning any
-    level whose assignment count passes ``budget``.
+    level whose assignment count passes ``budget``.  Each larger level
+    is streamed, one assignment at a time.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     names = free_vars(f)
     for n in range(2, max_n + 1):
         count = _bell(n) ** len(names)
@@ -417,40 +414,25 @@ def find_partition_counterexample(
             if eval_partition(f, found) == Partition.discrete(2):
                 raise RuntimeError("classical counterexample did not falsify the n=2 level")
             return found
-        found = _scan_level(f, names, n, jobs)
-        if found is not None:
-            return found
+        top = Partition.discrete(n)
+        for bindings in _bindings(names, n):
+            found = Assignment(n, bindings)
+            if eval_partition(f, found) != top:
+                return found
     return None
 
 
-def _scan_level(f: Formula, names: tuple[str, ...], n: int, jobs: int) -> Assignment | None:
-    parts = list(enumerate_partitions(n))
-    radix = len(parts)
-    total = radix ** len(names)
-    top = Partition.discrete(n)
+def _bindings(names: tuple[str, ...], n: int) -> Iterator[dict[str, Partition]]:
+    """Every binding of ``names`` to partitions of ``{0..n-1}``, in lexicographic order.
 
-    def bindings_at(index: int) -> dict[str, Partition]:
-        bindings = {}
-        for name in reversed(names):
-            index, digit = divmod(index, radix)
-            bindings[name] = parts[digit]
-        return bindings
-
-    def scan_range(bounds: tuple[int, int]) -> int | None:
-        start, stop = bounds
-        for index in range(start, stop):
-            if eval_partition(f, Assignment(n, bindings_at(index))) != top:
-                return index
-        return None
-
-    if jobs == 1:
-        first = scan_range((0, total))
-    else:
-        chunk = -(-total // jobs)
-        ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hits = [hit for hit in pool.map(scan_range, ranges) if hit is not None]
-        first = min(hits, default=None)
-    if first is None:
-        return None
-    return Assignment(n, bindings_at(first))
+    ``names[0]`` is the most significant digit and each digit runs in
+    enumeration order.  Holds one partition per name at a time; without
+    names there is exactly one, empty, binding.
+    """
+    if not names:
+        yield {}
+        return
+    last = names[-1]
+    for head in _bindings(names[:-1], n):
+        for p in enumerate_partitions(n):
+            yield {**head, last: p}

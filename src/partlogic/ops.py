@@ -103,9 +103,6 @@ def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
     return Partition.from_labels(labels)
 
 
-implication = implication_blocks
-
-
 class AdjunctiveLimitError(ValueError):
     """The adjunctive oracle was asked for a universe beyond its enumeration bound."""
 
@@ -189,12 +186,3 @@ def negation(sigma: Partition) -> Partition:
     negation is discrete.
     """
     return implication_blocks(sigma, Partition.indiscrete(sigma.n))
-
-
-def pi_negation(sigma: Partition, pi: Partition) -> Partition:
-    """Negation of ``sigma`` relative to ``pi``.
-
-    The same operation as ``implication_blocks(sigma, pi)``, named for
-    the role it plays when ``pi`` is held fixed.
-    """
-    return implication_blocks(sigma, pi)

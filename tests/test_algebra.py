@@ -1,11 +1,9 @@
 import pytest
-from hypothesis import given
 
 from partlogic import (
     Partition,
     boolean_core,
     check_core_distribution,
-    check_join_decomposition,
     core_from_subset,
     core_to_subset,
     double_pi_negation,
@@ -13,11 +11,8 @@ from partlogic import (
     excluded_middle_partition,
     join,
     meet,
-    pi_negation,
     refines,
 )
-
-from conftest import partition_pairs
 
 
 def all_parts(n):
@@ -72,29 +67,6 @@ class TestBooleanCore:
         assert core_from_subset(core, []) == pi
         assert core_from_subset(core, [0, 1]) == Partition.discrete(4)
 
-    def test_isomorphism_structure(self):
-        # union maps to join, intersection to meet, complement to negation
-        for n in range(1, 6):
-            for pi in all_parts(n):
-                core = boolean_core(pi)
-                k = len(core.ns_blocks)
-                full = (1 << k) - 1
-                for a in range(1 << k):
-                    ma = core.members[a]
-                    assert pi_negation(ma, pi) == core.members[full ^ a]
-                    for b in range(1 << k):
-                        mb = core.members[b]
-                        assert join(ma, mb) == core.members[a | b]
-                        assert meet(ma, mb) == core.members[a & b]
-
-    def test_complement_laws(self):
-        for n in range(1, 6):
-            for pi in all_parts(n):
-                core = boolean_core(pi)
-                for m in core.members:
-                    assert meet(m, pi_negation(m, pi)) == pi
-                    assert join(m, pi_negation(m, pi)) == Partition.discrete(n)
-
     def test_core_is_distributive(self):
         for n in range(1, 5):
             for pi in all_parts(n):
@@ -141,14 +113,6 @@ class TestNegationIdentities:
                     actual_whole = {block for block in closed.blocks if len(block) > 1}
                     assert actual_whole == expected_whole
 
-    def test_closure_facts(self):
-        for n in range(1, 6):
-            for sigma in all_parts(n):
-                for pi in all_parts(n):
-                    closed = double_pi_negation(sigma, pi)
-                    assert refines(sigma, closed)
-                    assert refines(join(sigma, pi), closed)
-
     def test_excluded_middle_example(self):
         sigma = Partition.from_blocks([[0], [1, 2, 3]], 4)
         pi = Partition.from_blocks([[0, 1], [2, 3]], 4)
@@ -158,16 +122,6 @@ class TestNegationIdentities:
         pi = Partition.from_blocks([[0, 1], [2, 3]], 4)
         assert excluded_middle_partition(Partition.indiscrete(4), pi) == Partition.discrete(4)
 
-    def test_excluded_middle_identities(self):
-        for n in range(1, 6):
-            top = Partition.discrete(n)
-            for sigma in all_parts(n):
-                for pi in all_parts(n):
-                    em = excluded_middle_partition(sigma, pi)
-                    assert refines(pi, em)
-                    assert pi_negation(em, pi) == pi
-                    assert double_pi_negation(em, pi) == top
-
     def test_excluded_middle_can_leave_the_core(self):
         # the dense partition need not be a member, pinned small case
         pi = Partition.from_blocks([[0, 1, 2]], 3)
@@ -175,18 +129,6 @@ class TestNegationIdentities:
         em = excluded_middle_partition(sigma, pi)
         assert em == sigma
         assert em not in boolean_core(pi)
-
-    def test_join_decomposition(self):
-        for n in range(1, 6):
-            for sigma in all_parts(n):
-                for pi in all_parts(n):
-                    assert check_join_decomposition(sigma, pi)
-
-    @given(partition_pairs(max_n=5))
-    def test_join_decomposition_random(self, pair):
-        sigma, pi = pair
-        assert check_join_decomposition(sigma, pi)
-
 
 class TestDistribution:
     def test_distribution_over_the_core(self):
@@ -214,14 +156,3 @@ class TestDistribution:
                     assert check_core_distribution(top, pi, sigma, sigma)
                     assert check_core_distribution(pi, pi, sigma, sigma)
 
-
-class TestNonDistributivity:
-    def test_pinned_three_element_counterexample(self):
-        pi = Partition.from_blocks([[0, 1], [2]], 3)
-        sigma = Partition.from_blocks([[0], [1, 2]], 3)
-        tau = Partition.from_blocks([[1], [0, 2]], 3)
-        left = join(pi, meet(sigma, tau))
-        right = meet(join(pi, sigma), join(pi, tau))
-        assert left == pi
-        assert right == Partition.discrete(3)
-        assert left != right

@@ -57,11 +57,6 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "-")
         assert code == 0
 
-    def test_jobs_do_not_change_the_verdict(self, capsys):
-        code1, out1, _ = run(capsys, "check", "~~s -> s", "--max-size", "3")
-        code2, out2, _ = run(capsys, "check", "~~s -> s", "--max-size", "3", "--jobs", "3")
-        assert (code1, out1) == (code2, out2) == (1, out1)
-
     def test_budget_guard_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "s \\/ ~s \\/ p \\/ q", "--budget", "10", "--max-size", "3")
         assert code == 2
@@ -69,9 +64,14 @@ class TestCheck:
 
     def test_bad_flags_exit_two(self, capsys):
         code, _, err = run(capsys, "check", "s", "--max-size", "1")
-        assert code == 2
-        code, _, err = run(capsys, "check", "s", "--jobs", "0")
-        assert code == 2
+        assert (code, err) == (2, "error: --max-size must be at least 2\n")
+        code, _, err = run(capsys, "check", "s", "--budget", "0")
+        assert (code, err) == (2, "error: --budget must be positive\n")
+
+    def test_no_jobs_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["check", "s", "--jobs", "2"])
+        assert err.value.code == 2
 
     def test_deep_negation_exits_two(self, capsys):
         code, out, err = run(capsys, "check", "~" * 3000 + "s")
@@ -213,11 +213,6 @@ class TestSuite:
         assert code == 1
         assert "FAIL breaks  (n=3: {{0},{1,2}})" in out
         assert out.strip().splitlines()[-1] == "suite figure3: 1/2 checks passed"
-
-    def test_jobs_only_on_check(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["suite", "figure3", "--jobs", "2"])
-        assert err.value.code == 2
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:

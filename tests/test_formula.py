@@ -1,7 +1,8 @@
 import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from partlogic import (
     And,
@@ -18,6 +19,7 @@ from partlogic import (
     eval_boolean,
     eval_partition,
     find_partition_counterexample,
+    enumerate_partitions,
     format_formula,
     free_vars,
     is_subset_tautology,
@@ -37,6 +39,20 @@ formulas = st.recursive(
     ),
     max_leaves=32,
 )
+
+small_formulas = st.recursive(
+    st.sampled_from([Const0(), Const1(), Var("s"), Var("p"), Var("q")]),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(And, inner, inner),
+        st.builds(Or, inner, inner),
+        st.builds(Implies, inner, inner),
+    ),
+    max_leaves=8,
+)
+# ``g \/ ~g`` is a classical tautology that fails over partitions exactly
+# where ``g`` is neither constant, so its search reaches the n=3 scan.
+refuter_inputs = st.one_of(small_formulas, small_formulas.map(lambda g: Or(g, Not(g))))
 
 
 class TestParser:
@@ -211,14 +227,36 @@ class TestRefuter:
         cex = find_partition_counterexample(parse("0"), max_n=3)
         assert cex is not None and cex.n == 2 and cex.bindings == {}
 
-    def test_deterministic_across_job_counts(self):
-        em = parse("s \\/ ~s")
-        runs = [find_partition_counterexample(em, max_n=4, jobs=j) for j in (1, 2, 3, 7)]
-        assert all(r == runs[0] for r in runs)
+    def test_deterministic_across_runs(self):
         dne = parse("~~s -> s")
-        hits = [find_partition_counterexample(dne, max_n=3, jobs=j) for j in (1, 2, 5)]
+        hits = [find_partition_counterexample(dne, max_n=3) for _ in range(3)]
         assert all(h == hits[0] for h in hits)
         assert hits[0] is not None and hits[0].n == 3
+
+    def test_closed_formula_enumerates_no_level(self):
+        tracemalloc.start()
+        try:
+            assert find_partition_counterexample(parse("0 -> 0"), max_n=11) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(deadline=None)
+    @given(refuter_inputs)
+    def test_lex_least_counterexample(self, f):
+        names = free_vars(f)
+        expected = None
+        for n in (2, 3):
+            top = Partition.discrete(n)
+            for values in itertools.product(list(enumerate_partitions(n)), repeat=len(names)):
+                assignment = Assignment(n, dict(zip(names, values)))
+                if eval_partition(f, assignment) != top:
+                    expected = assignment
+                    break
+            if expected is not None:
+                break
+        assert find_partition_counterexample(f, max_n=3) == expected
 
     def test_budget_guard(self):
         f = parse("s \\/ ~s \\/ p \\/ q")
@@ -228,8 +266,6 @@ class TestRefuter:
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="max_n"):
             find_partition_counterexample(parse("s"), max_n=1)
-        with pytest.raises(ValueError, match="jobs"):
-            find_partition_counterexample(parse("s"), jobs=0)
 
     def test_partition_validity_implies_subset_validity(self):
         # every formula over two variables up to depth 3: a classical
