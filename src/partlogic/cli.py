@@ -153,17 +153,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _hasse_edges(parts: list[Partition]) -> list[tuple[int, int]]:
-    below = {
+    # The refinement lattice is graded by block count, so covers are
+    # exactly the refinements that split one block.
+    return [
         (i, j)
         for i, p in enumerate(parts)
         for j, q in enumerate(parts)
-        if i != j and refines(p, q)
-    }
-    return sorted(
-        (i, j)
-        for i, j in below
-        if not any((i, k) in below and (k, j) in below for k in range(len(parts)))
-    )
+        if q.num_blocks == p.num_blocks + 1 and refines(p, q)
+    ]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

@@ -307,37 +307,28 @@ def refines(sigma: Partition, pi: Partition) -> bool:
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of ``{0..n-1}`` once, in lexicographic rgs order.
 
-    The count is the Bell number of ``n``.  Small universes are cached so
-    repeated sweeps share instances (and their cached relation grids).
+    The count is the Bell number of ``n``.  Restricted-growth strings
+    are generated in place by Knuth's Algorithm H (TAOCP 4A, 7.2.1.5):
+    ``peak[i]`` holds ``max(rgs[:i])``, so the rightmost position that
+    can still grow is found without rescanning a prefix.  Nothing is
+    cached; every call yields fresh ``Partition`` objects.
     """
     if n < 1:
         raise ValueError("universe must contain at least one element")
-    if n <= _CACHED_ENUMERATION_LIMIT:
-        yield from _partitions_tuple(n)
-    else:
-        yield from _generate_partitions(n)
-
-
-_CACHED_ENUMERATION_LIMIT = 9
-
-
-def _generate_partitions(n: int) -> Iterator[Partition]:
     rgs = [0] * n
+    peak = [0] * n
     while True:
         yield Partition(n, tuple(rgs))
-        for i in range(n - 1, 0, -1):
-            if rgs[i] <= max(rgs[:i]):
-                rgs[i] += 1
-                for j in range(i + 1, n):
-                    rgs[j] = 0
-                break
-        else:
+        i = n - 1
+        while i and rgs[i] > peak[i]:
+            i -= 1
+        if not i:
             return
-
-
-@lru_cache(maxsize=None)
-def _partitions_tuple(n: int) -> tuple[Partition, ...]:
-    return tuple(_generate_partitions(n))
+        rgs[i] += 1
+        top = max(peak[i], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            peak[j] = top
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .core import Partition, enumerate_partitions
@@ -124,8 +123,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif c == "1":
             tokens.append(("one", c, i))
             i += 1
-        elif c.isalpha():
-            m = _IDENT_RE.match(text, i)
+        elif m := _IDENT_RE.match(text, i):
             tokens.append(("ident", m.group(), i))
             i = m.end()
         else:
@@ -361,7 +359,6 @@ class SearchBudgetExceeded(RuntimeError):
     """A refutation level would require more assignments than the budget allows."""
 
 
-@lru_cache(maxsize=None)
 def _bell(n: int) -> int:
     # Bell triangle recurrence; the last entry of row n is the count for n.
     row = [1]
@@ -389,14 +386,16 @@ def find_partition_counterexample(
     The two-partition universe behaves exactly like the classical truth
     values, so that level is decided by truth table: a classical
     counterexample converts directly and classical validity rules the
-    level out.  Raises :class:`SearchBudgetExceeded` before scanning any
-    level whose assignment count passes ``budget``.  Each larger level
-    is streamed, one assignment at a time.
+    level out.  A closed formula stops there: the two constants form
+    the same two-element Boolean algebra at every larger size.  Raises
+    :class:`SearchBudgetExceeded` before scanning any level whose
+    assignment count passes ``budget``.  Each larger level is scanned
+    one assignment at a time.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     names = free_vars(f)
-    for n in range(2, max_n + 1):
+    for n in range(2, (max_n if names else 2) + 1):
         count = _bell(n) ** len(names)
         if count > budget:
             raise SearchBudgetExceeded(
@@ -426,13 +425,11 @@ def _bindings(names: tuple[str, ...], n: int) -> Iterator[dict[str, Partition]]:
     """Every binding of ``names`` to partitions of ``{0..n-1}``, in lexicographic order.
 
     ``names[0]`` is the most significant digit and each digit runs in
-    enumeration order.  Holds one partition per name at a time; without
-    names there is exactly one, empty, binding.
+    enumeration order; without names there is exactly one, empty,
+    binding.  One name streams the level; more names hold it as one
+    tuple, which the budget bounds since ``Bell(n)**2 <= budget``.
     """
-    if not names:
-        yield {}
-        return
-    last = names[-1]
-    for head in _bindings(names[:-1], n):
-        for p in enumerate_partitions(n):
-            yield {**head, last: p}
+    if len(names) == 1:
+        return ({names[0]: p} for p in enumerate_partitions(n))
+    level = tuple(enumerate_partitions(n)) if names else ()
+    return (dict(zip(names, values)) for values in itertools.product(level, repeat=len(names)))

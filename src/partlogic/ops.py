@@ -10,6 +10,7 @@ method generalizes to all sixteen binary truth functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -107,25 +108,33 @@ class AdjunctiveLimitError(ValueError):
     """The adjunctive oracle was asked for a universe beyond its enumeration bound."""
 
 
-def implication_adjunctive(sigma: Partition, pi: Partition, limit: int = 8) -> Partition:
+ADJUNCTIVE_LIMIT = 8
+
+
+@lru_cache(maxsize=None)
+def _ditset_masks(n: int) -> tuple[int, ...]:
+    """The ditset bits of every partition of ``{0..n-1}``, in enumeration order."""
+    return tuple(tau.ditset.bits for tau in enumerate_partitions(n))
+
+
+def implication_adjunctive(sigma: Partition, pi: Partition) -> Partition:
     """Implication as the largest partition adjoint to intersecting with ``dit(sigma)``.
 
     Its ditset is the union of every ditset whose intersection with
-    ``dit(sigma)`` lands inside ``dit(pi)``.  Enumerates all partitions
+    ``dit(sigma)`` lands inside ``dit(pi)``.  Ranges over all partitions
     of the universe, so it exists for verification, not production;
-    raises :class:`AdjunctiveLimitError` past ``limit``.
+    raises :class:`AdjunctiveLimitError` past ``ADJUNCTIVE_LIMIT``.
     """
     _require_same_universe(sigma, pi)
-    if sigma.n > limit:
+    if sigma.n > ADJUNCTIVE_LIMIT:
         raise AdjunctiveLimitError(
-            f"adjunctive oracle limit: universe size {sigma.n} exceeds bound {limit}"
+            f"adjunctive oracle limit: universe size {sigma.n} exceeds bound {ADJUNCTIVE_LIMIT}"
         )
-    dit_sigma = sigma.ditset
-    dit_pi = pi.ditset
+    outside = sigma.ditset.bits & ~pi.ditset.bits
     bits = 0
-    for tau in enumerate_partitions(sigma.n):
-        if tau.ditset & dit_sigma <= dit_pi:
-            bits |= tau.ditset.bits
+    for dit_tau in _ditset_masks(sigma.n):
+        if not dit_tau & outside:
+            bits |= dit_tau
     return Partition.from_equivalence(BinaryRelation(sigma.n, bits).complement())
 
 

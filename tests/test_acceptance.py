@@ -77,5 +77,5 @@ def test_criterion_09_graph_method_generality():
 def test_criterion_10_enumeration_counts():
     # agreement with the label-quotient oracle is held by
     # tests/test_core.py::TestEnumeration::test_counts_match_oracle
-    counts = [sum(1 for _ in enumerate_partitions(n)) for n in range(1, 8)]
-    assert counts == [1, 2, 5, 15, 52, 203, 877]
+    counts = [sum(1 for _ in enumerate_partitions(n)) for n in range(1, 11)]
+    assert counts == [1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]

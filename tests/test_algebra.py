@@ -103,8 +103,9 @@ class TestNegationIdentities:
 
     def test_double_negation_keeps_contained_blocks(self):
         for n in range(1, 5):
-            for sigma in all_parts(n):
-                for pi in all_parts(n):
+            parts = all_parts(n)
+            for sigma in parts:
+                for pi in parts:
                     closed = double_pi_negation(sigma, pi)
                     expected_whole = {
                         block for block in pi.blocks
@@ -151,8 +152,9 @@ class TestDistribution:
     def test_top_phi_reduces_to_lattice_identities(self):
         for n in range(1, 5):
             top = Partition.discrete(n)
-            for pi in all_parts(n):
-                for sigma in all_parts(n):
+            parts = all_parts(n)
+            for pi in parts:
+                for sigma in parts:
                     assert check_core_distribution(top, pi, sigma, sigma)
                     assert check_core_distribution(pi, pi, sigma, sigma)
 

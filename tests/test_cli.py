@@ -1,7 +1,12 @@
+import contextlib
 import functools
+import io
 import json
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partlogic.cli import main
 from partlogic.suites import SUITES, CheckResult
@@ -73,6 +78,13 @@ class TestCheck:
             main(["check", "s", "--jobs", "2"])
         assert err.value.code == 2
 
+    def test_closed_formula_at_a_large_max_size(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", "1", "--max-size", "100000")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert "no counterexample up to n=100000" in out
+
     def test_deep_negation_exits_two(self, capsys):
         code, out, err = run(capsys, "check", "~" * 3000 + "s")
         assert (code, out) == (2, "")
@@ -140,12 +152,13 @@ class TestEnumerate:
         assert data["count"] == 15 and len(data["partitions"]) == 15
 
     def test_dot_diagram_shape(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "3", "--format", "dot")
-        assert code == 0
-        nodes = [line for line in out.splitlines() if "label=" in line]
-        edges = [line for line in out.splitlines() if "->" in line]
-        assert len(nodes) == 5
-        assert len(edges) == 6
+        for n, bell, covers in ((3, 5, 6), (4, 15, 31), (5, 52, 160)):
+            code, out, _ = run(capsys, "enumerate", str(n), "--format", "dot")
+            assert code == 0
+            nodes = [line for line in out.splitlines() if "label=" in line]
+            edges = [line for line in out.splitlines() if "->" in line]
+            assert len(nodes) == bell
+            assert len(edges) == covers, f"n={n}"
 
     def test_guards(self, capsys):
         assert run(capsys, "enumerate", "11")[0] == 2
@@ -218,3 +231,22 @@ class TestSuite:
         with pytest.raises(SystemExit) as err:
             main(["suite", "nonsense"])
         assert err.value.code == 2
+
+
+formula_texts = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="spq01~()&|\\/-> ", max_size=24),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(formula_texts)
+def test_random_text_exits_zero_one_or_two(text):
+    for argv in (["check", text, "--max-size", "3", "--budget", "10000"], ["eval", text, "--size", "3"]):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), mock.patch("sys.stdin", io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, sink.getvalue())

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -230,8 +231,9 @@ class TestRefinement:
 
     def test_matches_ditset_inclusion(self):
         for n in range(1, 6):
-            for sigma in all_parts(n):
-                for pi in all_parts(n):
+            parts = all_parts(n)
+            for sigma in parts:
+                for pi in parts:
                     assert refines(sigma, pi) == (sigma.ditset <= pi.ditset)
 
     def test_mismatched_universes(self):
@@ -252,10 +254,20 @@ class TestEnumeration:
             assert produced == oracle_partition_rgs(n), f"enumeration differs from the label-quotient oracle at n={n}"
 
     def test_lexicographic_order(self):
-        for n in range(1, 7):
+        for n in range(1, 11):
             seq = [p.rgs for p in enumerate_partitions(n)]
-            assert seq == sorted(seq)
-            assert len(seq) == len(set(seq))
+            assert all(a < b for a, b in itertools.pairwise(seq)), f"not strictly increasing at n={n}"
+
+    def test_caches_nothing(self):
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                for _ in enumerate_partitions(9):
+                    pass
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 1 << 20
 
     def test_endpoints(self):
         parts = all_parts(4)

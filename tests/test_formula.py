@@ -94,6 +94,7 @@ class TestParser:
             ("s p", 2),
             ("", 0),
             ("s -> -", 5),
+            ("s -> \u00e9", 5),
         ],
     )
     def test_errors_carry_positions(self, text, position):
@@ -169,8 +170,9 @@ class TestEvaluation:
         for n in (1, 2, 3):
             from partlogic import enumerate_partitions
 
-            for s in enumerate_partitions(n):
-                for p in enumerate_partitions(n):
+            parts = list(enumerate_partitions(n))
+            for s in parts:
+                for p in parts:
                     a = Assignment(n, {"s": s, "p": p, "q": s, "r_1": p})
                     assert eval_partition(negated, a) == eval_partition(desugared, a)
         for s_bit in (False, True):
