@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .core import Partition, _require_same_universe, refines
-from .ops import implication_blocks, join, meet
+from .ops import _discretize, implication_blocks, join, meet
 
 MAX_CORE_BLOCKS = 20
 
@@ -59,22 +59,16 @@ def boolean_core(pi: Partition) -> BooleanCore:
     partition has no non-singleton blocks, so its core is the
     one-element algebra.
     """
-    ns_blocks = tuple(block for block in pi.blocks if len(block) > 1)
-    if len(ns_blocks) > MAX_CORE_BLOCKS:
+    ns_labels = [b for b, block in enumerate(pi.blocks) if len(block) > 1]
+    if len(ns_labels) > MAX_CORE_BLOCKS:
         raise ValueError(
-            f"core would have 2**{len(ns_blocks)} members, past the bound 2**{MAX_CORE_BLOCKS}"
+            f"core would have 2**{len(ns_labels)} members, past the bound 2**{MAX_CORE_BLOCKS}"
         )
-    whole = {u: b for b, block in enumerate(ns_blocks) for u in block}
-    members = []
-    for mask in range(1 << len(ns_blocks)):
-        labels: list[tuple[str, int]] = []
-        for u in range(pi.n):
-            b = whole.get(u)
-            if b is None or mask >> b & 1:
-                labels.append(("single", u))
-            else:
-                labels.append(("whole", b))
-        members.append(Partition.from_labels(labels))
+    ns_blocks = tuple(pi.blocks[b] for b in ns_labels)
+    members = [
+        _discretize(pi, {b for i, b in enumerate(ns_labels) if not mask >> i & 1})
+        for mask in range(1 << len(ns_labels))
+    ]
     core = BooleanCore(pi, ns_blocks, tuple(members))
     for member in members:
         if double_pi_negation(member, pi) != member:
@@ -107,7 +101,6 @@ def double_pi_negation(sigma: Partition, pi: Partition) -> Partition:
     that lie inside blocks of ``sigma`` stay whole and everything else
     discretizes, so ``sigma`` always refines into the result.
     """
-    _require_same_universe(sigma, pi)
     return implication_blocks(implication_blocks(sigma, pi), pi)
 
 
@@ -117,7 +110,6 @@ def excluded_middle_partition(sigma: Partition, pi: Partition) -> Partition:
     Not the discrete partition in general, but dense relative to ``pi``:
     its double negation is always discrete.
     """
-    _require_same_universe(sigma, pi)
     return join(sigma, implication_blocks(sigma, pi))
 
 
@@ -127,7 +119,6 @@ def check_join_decomposition(sigma: Partition, pi: Partition) -> bool:
     The join of ``sigma`` and ``pi`` must equal the meet of the
     excluded-middle partition with the double negation of ``sigma``.
     """
-    _require_same_universe(sigma, pi)
     lhs = join(sigma, pi)
     rhs = meet(excluded_middle_partition(sigma, pi), double_pi_negation(sigma, pi))
     return lhs == rhs

@@ -35,10 +35,7 @@ TABLE_OPS = {"join": join, "meet": meet, "implies": implication_blocks}
 MAX_TABLE_SIZE = 5
 MAX_ENUMERATE_SIZE = 10
 MAX_HASSE_SIZE = 6
-
-
-class _UsageError(Exception):
-    pass
+MAX_EVAL_SIZE = 10_000
 
 
 def _read_formula_text(arg: str) -> str:
@@ -51,20 +48,20 @@ def _parse_formula(arg: str):
     try:
         return parse(_read_formula_text(arg))
     except ParseError as exc:
-        raise _UsageError(f"syntax error: {exc}") from exc
+        raise ValueError(f"syntax error: {exc}") from exc
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.max_size < 2:
-        raise _UsageError("--max-size must be at least 2")
+        raise ValueError("--max-size must be at least 2")
     if args.budget < 1:
-        raise _UsageError("--budget must be positive")
+        raise ValueError("--budget must be positive")
     f = _parse_formula(args.formula)
     classical = is_subset_tautology(f)
     try:
         cex = find_partition_counterexample(f, max_n=args.max_size, budget=args.budget)
     except SearchBudgetExceeded as exc:
-        raise _UsageError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     report: dict = {"formula": format_formula(f), "classical": classical}
     if cex is None:
         report["partition"] = {"status": "no_counterexample", "bound": args.max_size}
@@ -90,32 +87,34 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.size is not None and args.size < 1:
-        raise _UsageError("--size must be at least 1")
+        raise ValueError("--size must be at least 1")
+    if args.size is not None and args.size > MAX_EVAL_SIZE:
+        raise ValueError(f"--size must be at most {MAX_EVAL_SIZE}")
     f = _parse_formula(args.formula)
     bindings: dict[str, Partition] = {}
     labels: tuple[str, ...] | None = None
     for item in args.bindings:
         name, eq, literal = item.partition("=")
         if not eq or not name:
-            raise _UsageError(f"binding {item!r} is not of the form name=partition")
+            raise ValueError(f"binding {item!r} is not of the form name=partition")
         try:
             p, p_labels = parse_partition(literal)
         except ValueError as exc:
-            raise _UsageError(f"bad partition literal for {name!r}: {exc}") from exc
+            raise ValueError(f"bad partition literal for {name!r}: {exc}") from exc
         if labels is None:
             labels = p_labels
         elif labels != p_labels:
-            raise _UsageError(f"binding {name!r} uses labels {p_labels}, expected {labels}")
+            raise ValueError(f"binding {name!r} uses labels {p_labels}, expected {labels}")
         bindings[name] = p
     if labels is None:
         if args.size is None:
-            raise _UsageError("a formula without bindings needs --size")
+            raise ValueError("a formula without bindings needs --size")
         labels = default_labels(args.size)
     elif args.size is not None and args.size != len(labels):
-        raise _UsageError(f"--size {args.size} does not match the {len(labels)} labels in the bindings")
+        raise ValueError(f"--size {args.size} does not match the {len(labels)} labels in the bindings")
     missing = [name for name in free_vars(f) if name not in bindings]
     if missing:
-        raise _UsageError(f"unbound variables: {', '.join(missing)}")
+        raise ValueError(f"unbound variables: {', '.join(missing)}")
     result = eval_partition(f, Assignment(len(labels), bindings))
     text = format_partition(result, labels)
     if args.format == "json":
@@ -127,7 +126,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.n > MAX_TABLE_SIZE:
-        raise _UsageError(f"table supports universes up to {MAX_TABLE_SIZE}")
+        raise ValueError(f"table supports universes up to {MAX_TABLE_SIZE}")
     op = TABLE_OPS[args.op]
     parts = list(enumerate_partitions(args.n))
     index = {p: i for i, p in enumerate(parts)}
@@ -165,9 +164,9 @@ def _hasse_edges(parts: list[Partition]) -> list[tuple[int, int]]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n > MAX_ENUMERATE_SIZE:
-        raise _UsageError(f"enumerate supports universes up to {MAX_ENUMERATE_SIZE}")
+        raise ValueError(f"enumerate supports universes up to {MAX_ENUMERATE_SIZE}")
     if args.format == "dot" and args.n > MAX_HASSE_SIZE:
-        raise _UsageError(f"the diagram output supports universes up to {MAX_HASSE_SIZE}")
+        raise ValueError(f"the diagram output supports universes up to {MAX_HASSE_SIZE}")
     parts = list(enumerate_partitions(args.n))
     if args.format == "json":
         print(json.dumps({
@@ -195,7 +194,7 @@ def cmd_core(args: argparse.Namespace) -> int:
     try:
         pi, labels = parse_partition(args.pi)
     except ValueError as exc:
-        raise _UsageError(f"bad partition literal: {exc}") from exc
+        raise ValueError(f"bad partition literal: {exc}") from exc
     core = boolean_core(pi)
     rows = []
     for member in core.members:
@@ -299,9 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "n", 1) < 1:
-            raise _UsageError("universe size must be at least 1")
+            raise ValueError("universe size must be at least 1")
         return _HANDLERS[args.command](args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import Partition, enumerate_partitions
-from .ops import implication_blocks, join, meet
+from .ops import implication_blocks, join, meet, negation
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -274,7 +274,7 @@ def eval_partition(f: Formula, assignment: Assignment) -> Partition:
         case Const1():
             return Partition.discrete(n)
         case Not(child):
-            return implication_blocks(eval_partition(child, assignment), Partition.indiscrete(n))
+            return negation(eval_partition(child, assignment))
         case And(left, right):
             return meet(eval_partition(left, assignment), eval_partition(right, assignment))
         case Or(left, right):

@@ -92,16 +92,21 @@ def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
     discrete partition exactly when ``pi`` refines ``sigma``.
     """
     _require_same_universe(sigma, pi)
-    labels: list[tuple[str, int]] = [("", 0)] * pi.n
-    for b, block in enumerate(pi.blocks):
-        first = sigma.rgs[block[0]]
-        if all(sigma.rgs[u] == first for u in block):
-            for u in block:
-                labels[u] = ("single", u)
-        else:
-            for u in block:
-                labels[u] = ("whole", b)
-    return Partition.from_labels(labels)
+    first: dict[int, int] = {}
+    straddling: set[int] = set()
+    for s, b in zip(sigma.rgs, pi.rgs):
+        if first.setdefault(b, s) != s:
+            straddling.add(b)
+    return _discretize(pi, straddling)
+
+
+def _discretize(pi: Partition, whole: set[int]) -> Partition:
+    """Keep the blocks of ``pi`` whose labels are in ``whole``; dissolve the rest.
+
+    A dissolved element ``u`` gets the label ``-1 - u``, which no block
+    of ``pi`` uses, and ``from_labels`` canonicalizes the result.
+    """
+    return Partition.from_labels([b if b in whole else -1 - u for u, b in enumerate(pi.rgs)])
 
 
 class AdjunctiveLimitError(ValueError):

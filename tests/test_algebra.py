@@ -6,9 +6,11 @@ from partlogic import (
     check_core_distribution,
     core_from_subset,
     core_to_subset,
+    check_join_decomposition,
     double_pi_negation,
     enumerate_partitions,
     excluded_middle_partition,
+    implication_blocks,
     join,
     meet,
     refines,
@@ -65,7 +67,14 @@ class TestBooleanCore:
         pi = Partition.from_blocks([[0, 1], [2, 3]], 4)
         core = boolean_core(pi)
         assert core_from_subset(core, []) == pi
+        assert core_from_subset(core, [0]) == Partition.from_blocks([[0], [1], [2, 3]], 4)
         assert core_from_subset(core, [0, 1]) == Partition.discrete(4)
+
+    def test_members_are_the_implications_into_pi(self):
+        for n in range(1, 6):
+            parts = all_parts(n)
+            for pi in parts:
+                assert set(boolean_core(pi).members) == {implication_blocks(s, pi) for s in parts}
 
     def test_core_is_distributive(self):
         for n in range(1, 5):
@@ -95,6 +104,11 @@ class TestBooleanCore:
 
 
 class TestNegationIdentities:
+    @pytest.mark.parametrize("op", [double_pi_negation, excluded_middle_partition, check_join_decomposition])
+    def test_mismatched_universes(self, op):
+        with pytest.raises(ValueError, match="mismatch"):
+            op(Partition.discrete(2), Partition.discrete(3))
+
     def test_double_negation_example(self):
         sigma = Partition.from_blocks([[0], [1, 2, 3]], 4)
         pi = Partition.from_blocks([[0, 1], [2, 3]], 4)

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partlogic.cli import main
+from partlogic.cli import MAX_EVAL_SIZE, main
 from partlogic.suites import SUITES, CheckResult
 
 from conftest import suite_checks
@@ -112,6 +112,13 @@ class TestEval:
             code, out, err = run(capsys, "eval", "0 -> 0", "--size", size)
             assert (code, out) == (2, "")
             assert "--size" in err
+
+    def test_size_bound(self, capsys):
+        code, out, _ = run(capsys, "eval", "0 -> 0", "--size", str(MAX_EVAL_SIZE))
+        assert code == 0 and out.count(",") == MAX_EVAL_SIZE - 1
+        code, out, err = run(capsys, "eval", "0 -> 0", "--size", str(MAX_EVAL_SIZE + 1))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: --size")
 
     def test_deep_parentheses_exit_two(self, capsys):
         code, out, err = run(capsys, "eval", "(" * 2000 + "s" + ")" * 2000, "s={{a}}")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from partlogic import (
     IMPLIES,
@@ -140,6 +140,21 @@ class TestImplication:
     def test_mismatched_universes(self):
         with pytest.raises(ValueError, match="mismatch"):
             implication_blocks(Partition.discrete(2), Partition.discrete(3))
+
+    def test_block_rule_reads_only_rgs(self):
+        sigma = Partition(5, (0, 1, 1, 1, 2))
+        pi = Partition(5, (0, 0, 1, 1, 2))
+        assert implication_blocks(sigma, pi) == Partition(5, (0, 0, 1, 2, 3))
+        assert "blocks" not in vars(sigma)
+        assert "blocks" not in vars(pi)
+
+    @settings(deadline=None)
+    @given(partition_pairs(min_n=7, max_n=12))
+    def test_definitions_agree_past_the_suite_sizes(self, pair):
+        sigma, pi = pair
+        n = sigma.n
+        assert implication_blocks(sigma, pi) == implication_graph(sigma, pi) == implication_interior(sigma, pi)
+        assert negation(sigma) == implication_graph(sigma, Partition.indiscrete(n))
 
 
 class TestNegation:
