@@ -16,7 +16,7 @@ from typing import Iterable
 from .core import Partition, _require_same_universe, refines
 from .ops import _discretize, implication_blocks, join, meet
 
-MAX_CORE_BLOCKS = 20
+MAX_CORE_BLOCKS = 14
 
 
 @dataclass(frozen=True)

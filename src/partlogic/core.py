@@ -121,9 +121,6 @@ class BinaryRelation:
         _require_same_universe(self, other)
         return self.bits & ~other.bits == 0
 
-    def __ge__(self, other: "BinaryRelation") -> bool:
-        return other <= self
-
     def complement(self) -> "BinaryRelation":
         return BinaryRelation(self.n, self.bits ^ ((1 << (self.n * self.n)) - 1))
 

@@ -15,12 +15,13 @@ never more.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping, Sequence
 
 from .core import Partition, enumerate_partitions
-from .ops import implication_blocks, join, meet, negation
+from .ops import AND, IMPLIES, OR, implication_blocks, join, meet, negation
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -199,9 +200,6 @@ def parse(text: str) -> Formula:
     return result
 
 
-_PRECEDENCE: dict[type, int] = {Implies: 1, Or: 2, And: 3, Not: 4}
-
-
 def format_formula(f: Formula) -> str:
     """Print with minimal parentheses; ``parse(format_formula(f)) == f``."""
     return _format(f, 0)
@@ -260,66 +258,93 @@ class Assignment:
                 raise ValueError(f"binding {name!r} has universe size {p.n}, expected {self.n}")
 
 
+def _compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
+    """Hash-cons ``f`` into its distinct subformulas in post-order, the root last.
+
+    Step ``(kind, a, b)`` holds the node type and its operands'
+    positions, ``None`` where it has fewer; a ``Var`` step holds the
+    index of its name among the sorted names instead.  Keyed by these
+    alone, equal subformulas share one position without any subtree
+    being hashed, and a node object met twice is placed once.
+    """
+    names = free_vars(f)
+    index = {name: i for i, name in enumerate(names)}
+    steps: dict[tuple, int] = {}
+    placed: dict[int, int] = {}
+
+    def place(node: Formula) -> int:
+        if id(node) not in placed:
+            match node:
+                case Var(name):
+                    key = (Var, index[name], None)
+                case Const0() | Const1():
+                    key = (type(node), None, None)
+                case Not(child):
+                    key = (Not, place(child), None)
+                case And(left, right) | Or(left, right) | Implies(left, right):
+                    key = (type(node), place(left), place(right))
+                case _:
+                    raise TypeError(f"not a formula node: {node!r}")
+            placed[id(node)] = steps.setdefault(key, len(steps))
+        return placed[id(node)]
+
+    place(f)
+    return names, list(steps)
+
+
+def _evaluate(steps: list[tuple], algebra: Mapping[type, object], values: Sequence):
+    """Run compiled ``steps`` in one algebra, binding variable ``i`` to ``values[i]``.
+
+    ``algebra`` maps ``Const0`` and ``Const1`` to the bottom and top
+    values and each connective type to the function computing it.
+    """
+    slots: list = []
+    for kind, a, b in steps:
+        if kind is Var:
+            slots.append(values[a])
+        elif b is not None:
+            slots.append(algebra[kind](slots[a], slots[b]))
+        elif a is not None:
+            slots.append(algebra[kind](slots[a]))
+        else:
+            slots.append(algebra[kind])
+    return slots[-1]
+
+
+def _bound_values(names: tuple[str, ...], bindings: Mapping[str, object]) -> tuple:
+    try:
+        return tuple(bindings[name] for name in names)
+    except KeyError as exc:
+        raise ValueError(f"unbound variable {exc.args[0]!r}") from None
+
+
+def _partition_algebra(n: int) -> dict[type, object]:
+    bottom, top = Partition.indiscrete(n), Partition.discrete(n)
+    return {Const0: bottom, Const1: top, Not: negation, And: meet, Or: join, Implies: implication_blocks}
+
+
+_TRUTH_VALUES = {Const0: False, Const1: True, Not: operator.not_, And: AND, Or: OR, Implies: IMPLIES}
+
+
 def eval_partition(f: Formula, assignment: Assignment) -> Partition:
     """Evaluate over partitions; negation is implication into the indiscrete partition."""
-    n = assignment.n
-    match f:
-        case Var(name):
-            try:
-                return assignment.bindings[name]
-            except KeyError:
-                raise ValueError(f"unbound variable {name!r}") from None
-        case Const0():
-            return Partition.indiscrete(n)
-        case Const1():
-            return Partition.discrete(n)
-        case Not(child):
-            return negation(eval_partition(child, assignment))
-        case And(left, right):
-            return meet(eval_partition(left, assignment), eval_partition(right, assignment))
-        case Or(left, right):
-            return join(eval_partition(left, assignment), eval_partition(right, assignment))
-        case Implies(left, right):
-            return implication_blocks(eval_partition(left, assignment), eval_partition(right, assignment))
-    raise TypeError(f"not a formula node: {f!r}")
+    names, steps = _compile(f)
+    return _evaluate(steps, _partition_algebra(assignment.n), _bound_values(names, assignment.bindings))
 
 
 def eval_boolean(f: Formula, bits: Mapping[str, bool]) -> bool:
     """Classical truth-table evaluation; implication is the material conditional."""
-    match f:
-        case Var(name):
-            try:
-                return bits[name]
-            except KeyError:
-                raise ValueError(f"unbound variable {name!r}") from None
-        case Const0():
-            return False
-        case Const1():
-            return True
-        case Not(child):
-            return not eval_boolean(child, bits)
-        case And(left, right):
-            return eval_boolean(left, bits) and eval_boolean(right, bits)
-        case Or(left, right):
-            return eval_boolean(left, bits) or eval_boolean(right, bits)
-        case Implies(left, right):
-            return not eval_boolean(left, bits) or eval_boolean(right, bits)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _boolean_counterexample(f: Formula, names: tuple[str, ...]) -> tuple[bool, ...] | None:
-    for values in itertools.product((False, True), repeat=len(names)):
-        if not eval_boolean(f, dict(zip(names, values))):
-            return values
-    return None
+    names, steps = _compile(f)
+    return _evaluate(steps, _TRUTH_VALUES, _bound_values(names, bits))
 
 
 def is_subset_tautology(f: Formula) -> bool:
     """True when the formula holds under every classical truth assignment."""
-    names = free_vars(f)
+    names, steps = _compile(f)
     if len(names) > MAX_TAUTOLOGY_VARS:
         raise ValueError(f"formula has {len(names)} variables, past the bound {MAX_TAUTOLOGY_VARS}")
-    return _boolean_counterexample(f, names) is None
+    truth_table = itertools.product((False, True), repeat=len(names))
+    return all(_evaluate(steps, _TRUTH_VALUES, bits) for bits in truth_table)
 
 
 def pi_negation_transform(f: Formula, pi_name: str) -> Formula:
@@ -331,28 +356,12 @@ def pi_negation_transform(f: Formula, pi_name: str) -> Formula:
     not already occur in the formula.
     """
     pi = Var(pi_name)
-    if pi_name in free_vars(f):
+    names, steps = _compile(f)
+    if pi_name in names:
         raise ValueError(f"variable {pi_name!r} already occurs in the formula")
-
-    def go(node: Formula) -> Formula:
-        match node:
-            case Var(_):
-                return Implies(node, pi)
-            case Const0():
-                return pi
-            case Const1():
-                return node
-            case Not(child):
-                return go(Implies(child, Const0()))
-            case And(left, right):
-                return And(go(left), go(right))
-            case Or(left, right):
-                return Or(go(left), go(right))
-            case Implies(left, right):
-                return Implies(go(left), go(right))
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return go(f)
+    relativized = {Const0: pi, Const1: Const1(), Not: lambda child: Implies(child, pi),
+                   And: And, Or: Or, Implies: Implies}
+    return _evaluate(steps, relativized, [Implies(Var(name), pi) for name in names])
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -383,53 +392,29 @@ def find_partition_counterexample(
     runs.  ``None`` means no counterexample up to ``max_n``, which is a
     bounded verdict, not a validity proof.
 
-    The two-partition universe behaves exactly like the classical truth
-    values, so that level is decided by truth table: a classical
-    counterexample converts directly and classical validity rules the
-    level out.  A closed formula stops there: the two constants form
-    the same two-element Boolean algebra at every larger size.  Raises
+    The formula is compiled once and every level, n=2 included, runs
+    the same scan: at n=2 the indiscrete partition precedes the discrete
+    one as False precedes True, so that level is the truth table.  A
+    closed formula stops there: the two constants form the same
+    two-element Boolean algebra at every larger size.  Raises
     :class:`SearchBudgetExceeded` before scanning any level whose
-    assignment count passes ``budget``.  Each larger level is scanned
-    one assignment at a time.
+    assignment count passes ``budget``.  With one variable the level
+    streams; with more it is held once as a tuple, which the budget
+    bounds since ``Bell(n)**2 <= budget``.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    names = free_vars(f)
+    names, steps = _compile(f)
     for n in range(2, (max_n if names else 2) + 1):
         count = _bell(n) ** len(names)
         if count > budget:
             raise SearchBudgetExceeded(
                 f"level n={n} needs {count} assignments, past the budget {budget}"
             )
-        if n == 2:
-            values = _boolean_counterexample(f, names)
-            if values is None:
-                continue
-            bindings = {
-                name: Partition.discrete(2) if value else Partition.indiscrete(2)
-                for name, value in zip(names, values)
-            }
-            found = Assignment(2, bindings)
-            if eval_partition(f, found) == Partition.discrete(2):
-                raise RuntimeError("classical counterexample did not falsify the n=2 level")
-            return found
-        top = Partition.discrete(n)
-        for bindings in _bindings(names, n):
-            found = Assignment(n, bindings)
-            if eval_partition(f, found) != top:
-                return found
+        algebra = _partition_algebra(n)
+        top = algebra[Const1]
+        level = enumerate_partitions(n)
+        for values in zip(level) if len(names) == 1 else itertools.product(level, repeat=len(names)):
+            if _evaluate(steps, algebra, values) != top:
+                return Assignment(n, dict(zip(names, values)))
     return None
-
-
-def _bindings(names: tuple[str, ...], n: int) -> Iterator[dict[str, Partition]]:
-    """Every binding of ``names`` to partitions of ``{0..n-1}``, in lexicographic order.
-
-    ``names[0]`` is the most significant digit and each digit runs in
-    enumeration order; without names there is exactly one, empty,
-    binding.  One name streams the level; more names hold it as one
-    tuple, which the budget bounds since ``Bell(n)**2 <= budget``.
-    """
-    if len(names) == 1:
-        return ({names[0]: p} for p in enumerate_partitions(n))
-    level = tuple(enumerate_partitions(n)) if names else ()
-    return (dict(zip(names, values)) for values in itertools.product(level, repeat=len(names)))

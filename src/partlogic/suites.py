@@ -308,6 +308,11 @@ def suite_tautologies() -> list[CheckResult]:
                 _describe(_refute(parse("(s -> p) \\/ ((s -> p) -> p)"))), _describe(None)),
         _expect("excluded middle survives n=2 and fails first at n=3",
                 _describe(em_cex), _describe(Assignment(3, {"s": Partition.from_blocks([[0, 1], [2]], 3)}))),
+        # The only check whose counterexample lies past n=3: it pins the scan's order at n=4.
+        _expect("linearity fails first at n=4",
+                _describe(_refute(parse("(s -> p) \\/ (p -> s)"))),
+                _describe(Assignment(4, {"p": Partition.from_blocks([[0, 1, 2], [3]], 4),
+                                         "s": Partition.from_blocks([[0, 1, 3], [2]], 4)}))),
         _check("the excluded-middle counterexample is the same in repeated runs", _first(
             f"run {i} gave {_describe(cex)}" for i, cex in enumerate(em_runs) if cex != em_cex
         )),

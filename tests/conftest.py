@@ -1,10 +1,10 @@
 """Shared oracles, strategies, and suite results.
 
 The oracles here are deliberately independent of the package internals:
-plain set arithmetic over frozensets of pairs, and brute-force
-enumeration by quotienting block labelings.  They exist so the fast
-bit-grid implementations are checked against something slower and
-more obviously correct.
+plain set arithmetic over frozensets of pairs, brute-force enumeration
+by quotienting block labelings, and formula evaluators that walk the
+tree with no compilation.  They exist so the fast implementations are
+checked against something slower and more obviously correct.
 """
 
 from __future__ import annotations
@@ -14,7 +14,22 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from partlogic import Partition
+from partlogic import (
+    And,
+    Assignment,
+    Const0,
+    Const1,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Partition,
+    Var,
+    implication_blocks,
+    join,
+    meet,
+    negation,
+)
 from partlogic.suites import SUITES
 
 _SUITE_FUNCTIONS = dict(SUITES)
@@ -87,6 +102,47 @@ def oracle_closure(pairs: frozenset[tuple[int, int]], n: int) -> frozenset[tuple
     for e in containing:
         out &= e
     return frozenset(out)
+
+
+def oracle_eval_partition(f: Formula, assignment: Assignment) -> Partition:
+    """Partition semantics by walking the tree, every subformula evaluated where it occurs."""
+    n = assignment.n
+    match f:
+        case Var(name):
+            return assignment.bindings[name]
+        case Const0():
+            return Partition.indiscrete(n)
+        case Const1():
+            return Partition.discrete(n)
+        case Not(child):
+            return negation(oracle_eval_partition(child, assignment))
+        case And(left, right):
+            return meet(oracle_eval_partition(left, assignment), oracle_eval_partition(right, assignment))
+        case Or(left, right):
+            return join(oracle_eval_partition(left, assignment), oracle_eval_partition(right, assignment))
+        case Implies(left, right):
+            return implication_blocks(oracle_eval_partition(left, assignment), oracle_eval_partition(right, assignment))
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def oracle_eval_boolean(f: Formula, bits: dict[str, bool]) -> bool:
+    """Truth-table semantics by walking the tree."""
+    match f:
+        case Var(name):
+            return bits[name]
+        case Const0():
+            return False
+        case Const1():
+            return True
+        case Not(child):
+            return not oracle_eval_boolean(child, bits)
+        case And(left, right):
+            return oracle_eval_boolean(left, bits) and oracle_eval_boolean(right, bits)
+        case Or(left, right):
+            return oracle_eval_boolean(left, bits) or oracle_eval_boolean(right, bits)
+        case Implies(left, right):
+            return not oracle_eval_boolean(left, bits) or oracle_eval_boolean(right, bits)
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 @st.composite

@@ -56,6 +56,7 @@ def test_criterion_07_tautology_engine():
         "modus ponens",
         "weak excluded middle",
         "excluded middle survives",
+        "linearity fails first at n=4",
         "the excluded-middle counterexample is the same",
         "a bare variable",
     )

@@ -206,6 +206,12 @@ class TestCore:
     def test_bad_literal(self, capsys):
         assert run(capsys, "core", "{{a,a}}")[0] == 2
 
+    def test_member_bound(self, capsys):
+        fifteen_pairs = "rgs:" + ",".join(str(u // 2) for u in range(30))
+        code, out, err = run(capsys, "core", fifteen_pairs, "--format", "json")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: core would have 2**15 members, past the bound 2**14"]
+
 
 class TestSuite:
     @pytest.fixture(autouse=True)

@@ -28,6 +28,8 @@ from partlogic import (
 )
 from partlogic.suites import CLASSICAL_TAUTOLOGIES, NON_TAUTOLOGIES
 
+from conftest import oracle_eval_boolean, oracle_eval_partition, partitions_of
+
 
 formulas = st.recursive(
     st.sampled_from([Const0(), Const1(), Var("s"), Var("p"), Var("q"), Var("r_1")]),
@@ -53,6 +55,16 @@ small_formulas = st.recursive(
 # ``g \/ ~g`` is a classical tautology that fails over partitions exactly
 # where ``g`` is neither constant, so its search reaches the n=3 scan.
 refuter_inputs = st.one_of(small_formulas, small_formulas.map(lambda g: Or(g, Not(g))))
+# ``op(g, g)`` and ``~g`` stacked on a formula repeat whole subformulas,
+# which the compiled evaluator stores once.
+repeated_formulas = st.recursive(
+    small_formulas,
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(lambda op, g: op(g, g), st.sampled_from([And, Or, Implies]), inner),
+    ),
+    max_leaves=8,
+)
 
 
 class TestParser:
@@ -158,10 +170,24 @@ class TestEvaluation:
             eval_partition(parse("p"), Assignment(2, {}))
         with pytest.raises(ValueError, match="unbound variable 'p'"):
             eval_boolean(parse("p"), {})
+        # the bottom constant decides the conjunction, but p is still unbound
+        with pytest.raises(ValueError, match="unbound variable 'p'"):
+            eval_boolean(parse("0 /\\ p"), {})
+        with pytest.raises(ValueError, match="unbound variable 'p'"):
+            eval_partition(parse("0 /\\ p"), Assignment(2, {}))
 
     def test_assignment_universe_validation(self):
         with pytest.raises(ValueError, match="universe size"):
             Assignment(3, {"s": Partition.discrete(2)})
+
+    @settings(deadline=None)
+    @given(st.one_of(formulas, repeated_formulas), st.integers(1, 4), st.data())
+    def test_evaluators_match_tree_walking_oracle(self, f, n, data):
+        names = ("s", "p", "q", "r_1")
+        a = Assignment(n, {name: data.draw(partitions_of(n)) for name in names})
+        assert eval_partition(f, a) == oracle_eval_partition(f, a)
+        bits = {name: data.draw(st.booleans()) for name in names}
+        assert eval_boolean(f, bits) == oracle_eval_boolean(f, bits)
 
     @given(formulas)
     def test_not_equals_implies_bottom(self, f):
@@ -253,7 +279,7 @@ class TestRefuter:
             top = Partition.discrete(n)
             for values in itertools.product(list(enumerate_partitions(n)), repeat=len(names)):
                 assignment = Assignment(n, dict(zip(names, values)))
-                if eval_partition(f, assignment) != top:
+                if oracle_eval_partition(f, assignment) != top:
                     expected = assignment
                     break
             if expected is not None:
@@ -270,8 +296,8 @@ class TestRefuter:
             find_partition_counterexample(parse("s"), max_n=1)
 
     def test_partition_validity_implies_subset_validity(self):
-        # every formula over two variables up to depth 3: a classical
-        # failure always yields a two-element counterexample
+        # every formula over two variables up to depth 3: the n=2 level
+        # refutes exactly the classical non-tautologies
         atoms = [Const0(), Const1(), Var("s"), Var("p")]
         layers = [atoms]
         for _ in range(2):
@@ -282,10 +308,10 @@ class TestRefuter:
         checked = 0
         for layer in layers:
             for f in layer:
-                if not is_subset_tautology(f):
-                    cex = find_partition_counterexample(f, max_n=2)
-                    assert cex is not None and cex.n == 2
-                    checked += 1
+                cex = find_partition_counterexample(f, max_n=2)
+                assert (cex is None) == is_subset_tautology(f)
+                assert cex is None or cex.n == 2
+                checked += cex is not None
         assert checked > 1000
 
 
