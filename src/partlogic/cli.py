@@ -23,8 +23,8 @@ from .formula import (
     find_partition_counterexample,
     format_formula,
     free_vars,
-    is_subset_tautology,
     parse,
+    _require_tautology_width,
 )
 from .literals import default_labels, format_partition, format_rgs, parse_partition
 from .ops import implication_blocks, join, meet
@@ -57,11 +57,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise ValueError("--budget must be positive")
     f = _parse_formula(args.formula)
-    classical = is_subset_tautology(f)
+    _require_tautology_width(free_vars(f))
     try:
         cex = find_partition_counterexample(f, max_n=args.max_size, budget=args.budget)
     except SearchBudgetExceeded as exc:
         raise ValueError(str(exc)) from exc
+    # The n=2 level is the truth table, so it refutes exactly the classical non-tautologies.
+    classical = cex is None or cex.n > 2
     report: dict = {"formula": format_formula(f), "classical": classical}
     if cex is None:
         report["partition"] = {"status": "no_counterexample", "bound": args.max_size}

@@ -195,6 +195,14 @@ class Partition:
                 peak = b
 
     @classmethod
+    def _canonical(cls, n: int, rgs: tuple[int, ...]) -> "Partition":
+        """Wrap an rgs its builder made canonical, without re-checking it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "rgs", rgs)
+        return p
+
+    @classmethod
     def discrete(cls, n: int) -> "Partition":
         """The partition of all singletons, top of the refinement order."""
         return _discrete(n)
@@ -233,9 +241,10 @@ class Partition:
     @classmethod
     def from_labels(cls, labels: Sequence[Hashable]) -> "Partition":
         """Group equal labels into blocks and canonicalize."""
+        if not labels:
+            raise ValueError("universe must contain at least one element")
         index: dict[Hashable, int] = {}
-        rgs = tuple(index.setdefault(lab, len(index)) for lab in labels)
-        return cls(len(labels), rgs)
+        return cls._canonical(len(labels), tuple(index.setdefault(lab, len(index)) for lab in labels))
 
     @classmethod
     def from_equivalence(cls, relation: BinaryRelation) -> "Partition":
@@ -315,7 +324,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     rgs = [0] * n
     peak = [0] * n
     while True:
-        yield Partition(n, tuple(rgs))
+        yield Partition._canonical(n, tuple(rgs))
         i = n - 1
         while i and rgs[i] > peak[i]:
             i -= 1

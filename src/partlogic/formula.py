@@ -15,8 +15,10 @@ never more.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -338,11 +340,15 @@ def eval_boolean(f: Formula, bits: Mapping[str, bool]) -> bool:
     return _evaluate(steps, _TRUTH_VALUES, _bound_values(names, bits))
 
 
+def _require_tautology_width(names: Sequence[str]) -> None:
+    if len(names) > MAX_TAUTOLOGY_VARS:
+        raise ValueError(f"formula has {len(names)} variables, past the bound {MAX_TAUTOLOGY_VARS}")
+
+
 def is_subset_tautology(f: Formula) -> bool:
     """True when the formula holds under every classical truth assignment."""
     names, steps = _compile(f)
-    if len(names) > MAX_TAUTOLOGY_VARS:
-        raise ValueError(f"formula has {len(names)} variables, past the bound {MAX_TAUTOLOGY_VARS}")
+    _require_tautology_width(names)
     truth_table = itertools.product((False, True), repeat=len(names))
     return all(_evaluate(steps, _TRUTH_VALUES, bits) for bits in truth_table)
 
@@ -368,15 +374,204 @@ class SearchBudgetExceeded(RuntimeError):
     """A refutation level would require more assignments than the budget allows."""
 
 
-def _bell(n: int) -> int:
-    # Bell triangle recurrence; the last entry of row n is the count for n.
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[-1]
+# Entries the refuter's per-level memo of connective results may hold; it is
+# cleared when full, so memory stays bounded at every size the budget admits.
+_MEMO_LIMIT = 1 << 16
+# Entries, rows times Bell(n), in the refuter's table of relabellings:
+# n!*Bell(n) is 146,160 at n=6, so up to n=6 every relabelling is used.
+_ACTION_LIMIT = 150_000
+# Partitions, and indices, a level keeps at hand: every one up to n=7.
+_KNOWN_LIMIT = 1024
+
+
+class _Level:
+    """The partitions of ``{0..n-1}``, addressed by their index in enumeration order.
+
+    ``tails[i][c]`` counts the ways to fill positions ``i+1..n-1`` of an
+    rgs whose first ``i+1`` entries use ``c`` blocks.  It ranks and
+    unranks an rgs without holding the level: index 0 is the indiscrete
+    partition and ``size - 1`` the discrete one.  Partitions and indices
+    once computed are kept, at most ``_KNOWN_LIMIT`` of each; a full
+    cache is cleared.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        row = [1] * (n + 2)
+        tails = [row]
+        for _ in range(n - 1):
+            row = [c * row[c] + row[c + 1] for c in range(n + 1)] + [0]
+            tails.append(row)
+        tails.reverse()
+        self.tails = tails
+        self.size = tails[0][1]
+        self._partitions: dict[int, Partition] = {}
+        self._indices: dict[tuple[int, ...], int] = {}
+
+    def partition(self, index: int) -> Partition:
+        """The partition at ``index``."""
+        known = self._partitions
+        p = known.get(index)
+        if p is None:
+            if len(known) >= _KNOWN_LIMIT:
+                known.clear()
+            rgs = []
+            rest = index
+            used = 0
+            for tail in self.tails:
+                count = tail[used]
+                block = min(rest // count, used)
+                rest -= block * count
+                rgs.append(block)
+                used += block == used
+            p = known[index] = Partition._canonical(self.n, tuple(rgs))
+        return p
+
+    def index(self, p: Partition) -> int:
+        """The index of ``p``."""
+        known = self._indices
+        index = known.get(p.rgs)
+        if index is None:
+            if len(known) >= _KNOWN_LIMIT:
+                known.clear()
+            index = known[p.rgs] = _rank(self.tails, p.rgs)
+        return index
+
+    def relabellings(self) -> list[array]:
+        """How each permutation of the first ``m`` elements acts on indices.
+
+        ``m`` is the largest size whose ``m!`` rows of ``size`` entries
+        fit in ``_ACTION_LIMIT``.  Only the adjacent transpositions
+        ``(j-1 j)`` are computed on partitions; Sym(j+1) is then the
+        cycles ``(k k+1 .. j)``, one per ``k <= j``, composed onto
+        Sym(j).  The identity is left out, as it prunes nothing.  At n=2
+        every permutation fixes both partitions, so no row is kept; from
+        n=3 on distinct permutations move some partition differently, so
+        no row repeats.
+        """
+        n, size = self.n, self.size
+        m = 1
+        while m < n and math.factorial(m + 1) * size <= _ACTION_LIMIT:
+            m += 1
+        if n < 3 or m == 1:
+            return []
+        # Two bytes hold every index up to n=9, the last size with rows at this limit.
+        typecode = "H" if size <= 1 << 16 else "I"
+        swaps = [array(typecode) for _ in range(m - 1)]
+        for p in enumerate_partitions(n):
+            for j, row in enumerate(swaps):
+                labels = list(p.rgs)
+                labels[j], labels[j + 1] = labels[j + 1], labels[j]
+                row.append(_rank(self.tails, labels))
+        identity = array(typecode, range(size))
+        group = [identity]
+        for j in range(1, m):
+            cycles = [identity]
+            for k in reversed(range(j)):
+                cycles.append(array(typecode, map(swaps[k].__getitem__, cycles[-1])))
+            group = [array(typecode, map(cycle.__getitem__, row)) for cycle in cycles for row in group]
+        return group[1:]  # the identity cycle on the identity row comes first
+
+
+def _rank(tails: list[list[int]], labels: Sequence) -> int:
+    """The index of the partition grouping equal ``labels``."""
+    blocks: dict = {}
+    index = 0
+    for label, tail in zip(labels, tails):
+        used = len(blocks)
+        index += blocks.setdefault(label, used) * tail[used]
+    return index
+
+
+def _schedule(steps: list[tuple], k: int) -> tuple[list[int], list[list[tuple]]]:
+    """Assign each connective step to the loop that must run it.
+
+    A step's depth is the index of the last-bound variable it depends
+    on, -1 when it depends on none; the first sorted name is the
+    outermost loop.  Returns the slot of each variable's step and, at
+    ``runs[d + 1]``, the steps of depth ``d`` as ``(slot, kind, a, b)``;
+    a negation repeats its operand as ``b``.
+    """
+    depths: list[int] = []
+    var_slots = [0] * k
+    runs: list[list[tuple]] = [[] for _ in range(k + 1)]
+    for slot, (kind, a, b) in enumerate(steps):
+        if kind is Var:
+            var_slots[a] = slot
+            depth = a
+        elif a is None:
+            depth = -1
+        else:
+            b = a if b is None else b
+            depth = max(depths[a], depths[b])
+            runs[depth + 1].append((slot, kind, a, b))
+        depths.append(depth)
+    return var_slots, runs
+
+
+def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[list[tuple]]):
+    """The least falsifying assignment on ``level`` as a tuple of indices, or ``None``.
+
+    Loop ``d`` binds variable ``d`` and runs only the steps of depth
+    ``d``.  Inside the outermost loop a connective on indices is
+    computed once by the partition operation and kept in ``memo``.  The
+    outermost loop's own steps run once per value of the first
+    variable, where a memo would only fill up with one entry per value,
+    so they call the operation directly.
+
+    Values are pruned by relabelling: a permutation ``g`` maps
+    counterexamples to counterexamples, so the least one ``c`` satisfies
+    ``c <= g.c``.  When ``g`` fixes the bound prefix this forces
+    ``c[d] <= g.c[d]``, so a value that some such ``g`` maps lower is
+    skipped, and the first hit is still ``c``.
+    """
+    size, k = level.size, len(var_slots)
+    top = size - 1
+    algebra = _partition_algebra(level.n)
+    memo: dict[tuple, int] = {}
+    # The indiscrete partition is index 0 and the discrete one is ``top``.
+    slots = [top if kind is Const1 else 0 for kind, _, _ in steps]
+    values = [0] * k
+
+    def apply(kind: type, i: int, j: int) -> int:
+        p = level.partition(i)
+        result = algebra[kind](p) if kind is Not else algebra[kind](p, level.partition(j))
+        return level.index(result)
+
+    def run(todo: list[tuple]) -> None:
+        for out, kind, a, b in todo:
+            slots[out] = apply(kind, slots[a], slots[b])
+
+    def descend(depth: int, stabilizer: list[array]) -> bool:
+        slot, todo, last = var_slots[depth], runs[depth + 1], depth == k - 1
+        if stabilizer:
+            candidates = (v for v, low in enumerate(map(min, range(size), *stabilizer)) if low == v)
+        else:
+            candidates = range(size)
+        for v in candidates:
+            slots[slot] = values[depth] = v
+            if not depth:
+                run(todo)
+            else:
+                for out, kind, a, b in todo:
+                    key = (kind, slots[a], slots[b])
+                    value = memo.get(key)
+                    if value is None:
+                        if len(memo) >= _MEMO_LIMIT:
+                            memo.clear()
+                        value = memo[key] = apply(*key)
+                    slots[out] = value
+            if last:
+                if slots[-1] != top:
+                    return True
+            elif descend(depth + 1, [row for row in stabilizer if row[v] == v]):
+                return True
+        return False
+
+    run(runs[0])
+    if not k:
+        return () if slots[-1] != top else None
+    return tuple(values) if descend(0, level.relabellings()) else None
 
 
 def find_partition_counterexample(
@@ -398,23 +593,23 @@ def find_partition_counterexample(
     closed formula stops there: the two constants form the same
     two-element Boolean algebra at every larger size.  Raises
     :class:`SearchBudgetExceeded` before scanning any level whose
-    assignment count passes ``budget``.  With one variable the level
-    streams; with more it is held once as a tuple, which the budget
-    bounds since ``Bell(n)**2 <= budget``.
+    assignment count passes ``budget``.  No level is held: partitions
+    are addressed by index, and the memo, the partitions kept at hand
+    and the relabelling table are bounded by ``_MEMO_LIMIT``,
+    ``_KNOWN_LIMIT`` and ``_ACTION_LIMIT``.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     names, steps = _compile(f)
+    var_slots, runs = _schedule(steps, len(names))
     for n in range(2, (max_n if names else 2) + 1):
-        count = _bell(n) ** len(names)
+        level = _Level(n)
+        count = level.size ** len(names)
         if count > budget:
             raise SearchBudgetExceeded(
                 f"level n={n} needs {count} assignments, past the budget {budget}"
             )
-        algebra = _partition_algebra(n)
-        top = algebra[Const1]
-        level = enumerate_partitions(n)
-        for values in zip(level) if len(names) == 1 else itertools.product(level, repeat=len(names)):
-            if _evaluate(steps, algebra, values) != top:
-                return Assignment(n, dict(zip(names, values)))
+        hit = _scan(level, steps, var_slots, runs)
+        if hit is not None:
+            return Assignment(n, {name: level.partition(i) for name, i in zip(names, hit)})
     return None

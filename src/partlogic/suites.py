@@ -293,7 +293,7 @@ def suite_figure3() -> list[CheckResult]:
 
 
 def _refute(f: Formula) -> Assignment | None:
-    return find_partition_counterexample(f, max_n=4)
+    return find_partition_counterexample(f, max_n=5)
 
 
 def suite_tautologies() -> list[CheckResult]:
@@ -302,9 +302,9 @@ def suite_tautologies() -> list[CheckResult]:
     em_cex = em_runs[0]
     bare_cex = _refute(parse("s"))
     results = [
-        _expect("modus ponens has no counterexample up to n=4",
+        _expect("modus ponens has no counterexample up to n=5",
                 _describe(_refute(parse("(s /\\ (s -> p)) -> p"))), _describe(None)),
-        _expect("weak excluded middle has no counterexample up to n=4",
+        _expect("weak excluded middle has no counterexample up to n=5",
                 _describe(_refute(parse("(s -> p) \\/ ((s -> p) -> p)"))), _describe(None)),
         _expect("excluded middle survives n=2 and fails first at n=3",
                 _describe(em_cex), _describe(Assignment(3, {"s": Partition.from_blocks([[0, 1], [2]], 3)}))),
@@ -328,7 +328,7 @@ def suite_tautologies() -> list[CheckResult]:
         else:
             cex = _refute(pi_negation_transform(f, TRANSFORM_VARIABLE))
             failure = None if cex is None else _describe(cex)
-        results.append(_check(f"transform of {name} has no counterexample up to n=4", failure))
+        results.append(_check(f"transform of {name} has no counterexample up to n=5", failure))
     for name, text in NON_TAUTOLOGIES:
         f = parse(text)
         if is_subset_tautology(f):

@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partlogic import is_subset_tautology, parse
 from partlogic.cli import MAX_EVAL_SIZE, main
 from partlogic.suites import SUITES, CheckResult
 
@@ -31,6 +32,21 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "(s /\\ (s -> p)) -> p")
         assert code == 0
         assert "no counterexample up to n=4" in out
+
+    # Decided at n=2, refuted at n=3, and unrefuted up to n=3.
+    @pytest.mark.parametrize("text", ["s -> p", "0", "s \\/ ~s", "~~s -> s",
+                                      "(s /\\ (s -> p)) -> p", "s -> s", "0 -> 0"])
+    def test_classical_verdict_matches_the_truth_table(self, capsys, text):
+        classical = is_subset_tautology(parse(text))
+        _, out, _ = run(capsys, "check", text, "--max-size", "3", "--format", "json")
+        assert out == json.dumps({**json.loads(out), "classical": classical}) + "\n"
+        _, out, _ = run(capsys, "check", text, "--max-size", "3")
+        assert out.splitlines()[1] == f"classical: {'tautology' if classical else 'not a tautology'}"
+
+    def test_variable_bound_exits_two(self, capsys):
+        wide = " \\/ ".join(f"v{i}" for i in range(21))
+        code, _, err = run(capsys, "check", wide)
+        assert (code, err) == (2, "error: formula has 21 variables, past the bound 20\n")
 
     def test_parse_error_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "s \\/")

@@ -61,6 +61,11 @@ class TestConstructors:
             Partition(3, (1, 0, 0))
         with pytest.raises(ValueError, match="restricted-growth"):
             Partition(3, (0, 2, 0))
+        # the public constructor still checks what the trusted builders skip
+        with pytest.raises(ValueError, match="restricted-growth"):
+            Partition(3, (0, 2, 1))
+        with pytest.raises(ValueError, match="at least one element"):
+            Partition.from_labels([])
         with pytest.raises(ValueError, match="does not match"):
             Partition(3, (0, 0))
         with pytest.raises(ValueError, match="at least one element"):

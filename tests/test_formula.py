@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -26,6 +27,7 @@ from partlogic import (
     parse,
     pi_negation_transform,
 )
+from partlogic import formula
 from partlogic.suites import CLASSICAL_TAUTOLOGIES, NON_TAUTOLOGIES
 
 from conftest import oracle_eval_boolean, oracle_eval_partition, partitions_of
@@ -285,6 +287,42 @@ class TestRefuter:
             if expected is not None:
                 break
         assert find_partition_counterexample(f, max_n=3) == expected
+
+    def test_one_variable_does_not_hold_its_level(self):
+        tracemalloc.start()
+        try:
+            assert find_partition_counterexample(parse("s -> s"), max_n=8) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # At n=4 (15 partitions) an action table of 100 entries admits Sym(3)
+    # but not Sym(4), and one of 0 admits no relabelling, so nothing is
+    # pruned; tiny memo and partition caches are cleared again and again.
+    @pytest.mark.parametrize("limits", [{"_ACTION_LIMIT": 100}, {"_ACTION_LIMIT": 0},
+                                        {"_MEMO_LIMIT": 3, "_KNOWN_LIMIT": 2}])
+    def test_bounded_tables_give_the_same_counterexample(self, monkeypatch, limits):
+        rng = random.Random(7)
+
+        def grow(leaves):
+            if leaves == 1:
+                return rng.choice([Const0(), Const1(), Var("s"), Var("p"), Var("q")])
+            if rng.random() < 0.2:
+                return Not(grow(leaves - 1))
+            split = rng.randint(1, leaves - 1)
+            return rng.choice([And, Or, Implies])(grow(split), grow(leaves - split))
+
+        corpus = [pi_negation_transform(parse(text), "z") for _, text in CLASSICAL_TAUTOLOGIES]
+        corpus.append(parse("(s -> p) \\/ (p -> s)"))
+        for i in range(50):
+            g = grow(rng.randint(2, 9))
+            corpus.append(Or(g, Not(g)) if i % 2 else g)
+        expected = [find_partition_counterexample(f, max_n=4) for f in corpus]
+        assert expected[len(CLASSICAL_TAUTOLOGIES)].n == 4
+        for name, value in limits.items():
+            monkeypatch.setattr(formula, name, value)
+        assert [find_partition_counterexample(f, max_n=4) for f in corpus] == expected
 
     def test_budget_guard(self):
         f = parse("s \\/ ~s \\/ p \\/ q")
