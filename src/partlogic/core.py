@@ -20,26 +20,50 @@ def _require_same_universe(a, b) -> None:
         raise ValueError(f"universe size mismatch: {a.n} != {b.n}")
 
 
-def _component_labels(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Label each of ``0..n-1`` by a representative of its connected component.
+def _label_masks(labels: Iterable[Hashable]) -> dict[Hashable, int]:
+    """The bit mask of the elements of ``0..n-1`` carrying each label."""
+    masks: dict[Hashable, int] = {}
+    for u, lab in enumerate(labels):
+        masks[lab] = masks.get(lab, 0) | 1 << u
+    return masks
 
-    Union-find with path halving; the one place the package merges
-    classes, shared by relation closure, meet, and the link-labelling
-    method.
+
+def _equivalence_bits(labels: Sequence[Hashable]) -> int:
+    """Relation bits pairing every two elements of ``0..n-1`` that carry equal labels."""
+    n = len(labels)
+    masks = _label_masks(labels)
+    bits = 0
+    for u, lab in enumerate(labels):
+        bits |= masks[lab] << (u * n)
+    return bits
+
+
+def _component_labels(n: int, groups: Iterable[int]) -> list[int]:
+    """Label each of ``0..n-1`` by the bit mask of its connected component.
+
+    Each group is a bit mask of elements already known to be connected;
+    groups that overlap merge, and an element in no group stays alone.
+    The one place the package merges classes, shared by relation
+    closure, meet, and the link-labelling method.
     """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return [find(u) for u in range(n)]
+    components: list[int] = []
+    for group in groups:
+        apart = []
+        for c in components:
+            if c & group:
+                group |= c
+            else:
+                apart.append(c)
+        apart.append(group)
+        components = apart
+    labels = [1 << u for u in range(n)]
+    for c in components:
+        rest = c
+        while rest:
+            low = rest & -rest
+            labels[low.bit_length() - 1] = c
+            rest ^= low
+    return labels
 
 
 @dataclass(frozen=True)
@@ -61,39 +85,21 @@ class BinaryRelation:
             raise ValueError("relation contains a pair outside the universe")
 
     @classmethod
-    def empty(cls, n: int) -> "BinaryRelation":
-        return cls(n, 0)
-
-    @classmethod
-    def universal(cls, n: int) -> "BinaryRelation":
-        return cls(n, (1 << (n * n)) - 1)
-
-    @classmethod
     def identity(cls, n: int) -> "BinaryRelation":
         bits = 0
         for u in range(n):
             bits |= 1 << (u * n + u)
         return cls(n, bits)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]], n: int) -> "BinaryRelation":
-        bits = 0
-        for u, v in pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"pair ({u}, {v}) out of range for universe size {n}")
-            bits |= 1 << (u * n + v)
-        return cls(n, bits)
-
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(self)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        bits = self.bits
-        n = self.n
-        while bits:
-            low = bits & -bits
-            yield divmod(low.bit_length() - 1, n)
-            bits ^= low
+        for u, row in enumerate(self._rows()):
+            while row:
+                low = row & -row
+                yield u, low.bit_length() - 1
+                row ^= low
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -124,8 +130,10 @@ class BinaryRelation:
     def complement(self) -> "BinaryRelation":
         return BinaryRelation(self.n, self.bits ^ ((1 << (self.n * self.n)) - 1))
 
-    def _row(self, u: int) -> int:
-        return self.bits >> (u * self.n) & ((1 << self.n) - 1)
+    def _rows(self) -> list[int]:
+        """Row ``u`` holds bit ``v`` for each pair ``(u, v)``."""
+        n, full = self.n, (1 << self.n) - 1
+        return [self.bits >> (u * n) & full for u in range(n)]
 
     def is_reflexive(self) -> bool:
         return BinaryRelation.identity(self.n) <= self
@@ -135,25 +143,25 @@ class BinaryRelation:
 
     def is_transitive(self) -> bool:
         # R is transitive iff for every (u, v) in R the v-row is inside the u-row.
-        return all(self._row(v) & ~self._row(u) == 0 for u, v in self)
+        rows = self._rows()
+        return all(rows[v] & ~rows[u] == 0 for u, v in self)
 
     def is_equivalence(self) -> bool:
         return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
 
-    def is_partition_relation(self) -> bool:
-        """True when the complement is an equivalence relation.
+    def _components(self) -> list[int]:
+        """Label each element by the mask of its class in the closure.
 
-        Equivalent to irreflexive + symmetric + anti-transitive, but the
-        complement formulation is the one implemented.
+        Each row, with its own element, is one group of connected elements.
         """
-        return self.complement().is_equivalence()
+        return _component_labels(self.n, (row | 1 << u for u, row in enumerate(self._rows())))
 
     def closure(self) -> "BinaryRelation":
         """Smallest equivalence relation containing this one.
 
         The classes are the connected components of the listed pairs.
         """
-        return Partition.from_labels(_component_labels(self.n, self)).inditset
+        return BinaryRelation(self.n, _equivalence_bits(self._components()))
 
     def interior(self) -> "BinaryRelation":
         """Largest ditset contained in this relation.
@@ -249,15 +257,14 @@ class Partition:
     @classmethod
     def from_equivalence(cls, relation: BinaryRelation) -> "Partition":
         """The partition whose blocks are the classes of an equivalence relation."""
-        for name, ok in (
-            ("reflexive", relation.is_reflexive()),
-            ("symmetric", relation.is_symmetric()),
-            ("transitive", relation.is_transitive()),
-        ):
-            if not ok:
-                raise ValueError(f"not an equivalence relation: fails to be {name}")
-        # The class of u is its row; label each element by the least member.
-        labels = [(relation._row(u) & -relation._row(u)).bit_length() - 1 for u in range(relation.n)]
+        # Label each element by the least member of its row.  A relation is
+        # an equivalence exactly when it pairs the elements with equal labels;
+        # only a mismatch pays for the predicates, to name what fails.
+        labels = [(row & -row).bit_length() - 1 for row in relation._rows()]
+        if _equivalence_bits(labels) != relation.bits:
+            for name in ("reflexive", "symmetric", "transitive"):
+                if not getattr(relation, f"is_{name}")():
+                    raise ValueError(f"not an equivalence relation: fails to be {name}")
         return cls.from_labels(labels)
 
     @cached_property
@@ -275,14 +282,7 @@ class Partition:
     @cached_property
     def inditset(self) -> BinaryRelation:
         """All ordered pairs of elements lying in the same block."""
-        bits = 0
-        for block in self.blocks:
-            row = 0
-            for v in block:
-                row |= 1 << v
-            for u in block:
-                bits |= row << (u * self.n)
-        return BinaryRelation(self.n, bits)
+        return BinaryRelation(self.n, _equivalence_bits(self.rgs))
 
     @cached_property
     def ditset(self) -> BinaryRelation:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable
 
-from .core import BinaryRelation, Partition, _component_labels, _require_same_universe, enumerate_partitions
+from .core import BinaryRelation, Partition, _component_labels, _label_masks, _require_same_universe, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,13 @@ def meet(p: Partition, q: Partition) -> Partition:
     Elements end up together exactly when a chain of overlapping blocks
     of the two operands connects them, i.e. the blocks are the classes
     of the equivalence relation generated by keeping together whatever
-    either operand keeps together.  Each element is linked to the first
-    element of its block in either operand, and the blocks are read off
-    the connected components.
+    either operand keeps together.  The block masks of the two operands
+    merge wherever they overlap, and the blocks are read off the
+    connected components.
     """
     _require_same_universe(p, q)
-    return Partition.from_labels(_component_labels(p.n, chain(_block_links(p), _block_links(q))))
-
-
-def _block_links(p: Partition) -> Iterator[tuple[int, int]]:
-    """Pair every element with the least element of its block."""
-    first: dict[int, int] = {}
-    for u, b in enumerate(p.rgs):
-        yield u, first.setdefault(b, u)
+    blocks = chain(_label_masks(p.rgs).values(), _label_masks(q.rgs).values())
+    return Partition.from_labels(_component_labels(p.n, blocks))
 
 
 def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
@@ -173,7 +167,7 @@ def binary_op_graph(op: BoolOp2, p: Partition, q: Partition) -> Partition:
     remains.  ``p`` supplies the left truth-table argument and ``q`` the
     right one.  Isolated vertices become singleton blocks.
     """
-    return Partition.from_labels(_component_labels(p.n, retained_links(op, p, q)))
+    return Partition.from_labels(retained_links(op, p, q)._components())
 
 
 def implication_graph(sigma: Partition, pi: Partition) -> Partition:

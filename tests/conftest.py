@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from partlogic import (
     And,
     Assignment,
+    BinaryRelation,
     Const0,
     Const1,
     Formula,
@@ -72,7 +73,35 @@ def oracle_ditset(blocks: list[list[int]]) -> frozenset[tuple[int, int]]:
     )
 
 
-def oracle_is_equivalence(pairs: frozenset[tuple[int, int]], n: int) -> bool:
+def relation_from_pairs(pairs, n: int) -> BinaryRelation:
+    """The bit grid holding exactly the listed pairs."""
+    bits = 0
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"pair ({u}, {v}) out of range for universe size {n}")
+        bits |= 1 << (u * n + v)
+    return BinaryRelation(n, bits)
+
+
+def empty_relation(n: int) -> BinaryRelation:
+    return BinaryRelation(n, 0)
+
+
+def universal_relation(n: int) -> BinaryRelation:
+    return BinaryRelation(n, (1 << (n * n)) - 1)
+
+
+def is_partition_relation(r: BinaryRelation) -> bool:
+    """True when the complement is an equivalence relation.
+
+    Equivalent to irreflexive + symmetric + anti-transitive, but the
+    complement formulation is the one implemented.
+    """
+    return r.complement().is_equivalence()
+
+
+def oracle_equivalence_failures(pairs: frozenset[tuple[int, int]], n: int) -> list[str]:
+    """The properties of an equivalence the pairs lack, in the order reflexive, symmetric, transitive."""
     reflexive = all((u, u) in pairs for u in range(n))
     symmetric = all((v, u) in pairs for u, v in pairs)
     transitive = all(
@@ -81,7 +110,12 @@ def oracle_is_equivalence(pairs: frozenset[tuple[int, int]], n: int) -> bool:
         for v2, w in pairs
         if v2 == v
     )
-    return reflexive and symmetric and transitive
+    checks = (("reflexive", reflexive), ("symmetric", symmetric), ("transitive", transitive))
+    return [name for name, ok in checks if not ok]
+
+
+def oracle_is_equivalence(pairs: frozenset[tuple[int, int]], n: int) -> bool:
+    return not oracle_equivalence_failures(pairs, n)
 
 
 @lru_cache(maxsize=None)
@@ -102,6 +136,31 @@ def oracle_closure(pairs: frozenset[tuple[int, int]], n: int) -> frozenset[tuple
     for e in containing:
         out &= e
     return frozenset(out)
+
+
+def oracle_fixpoint_closure(pairs: frozenset[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
+    """Add the diagonal, then mirrored and composed pairs until nothing new appears.
+
+    No union-find and no enumeration of equivalences, so it reaches
+    universes where ``oracle_closure`` is out of range.
+    """
+    out = set(pairs) | {(u, u) for u in range(n)}
+    while True:
+        new = {(v, u) for u, v in out} | {(u, w) for u, v in out for v2, w in out if v == v2}
+        if new <= out:
+            return frozenset(out)
+        out |= new
+
+
+def oracle_interior(pairs: frozenset[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
+    """Complement of the fixpoint closure of the complement."""
+    universe = frozenset(itertools.product(range(n), repeat=2))
+    return universe - oracle_fixpoint_closure(universe - pairs, n)
+
+
+def oracle_inditset(blocks) -> frozenset[tuple[int, int]]:
+    """Ordered pairs taken from one block, by double loop."""
+    return frozenset((u, v) for block in blocks for u in block for v in block)
 
 
 def oracle_eval_partition(f: Formula, assignment: Assignment) -> Partition:
@@ -172,3 +231,18 @@ def partition_pairs(draw, min_n: int = 1, max_n: int = 6) -> tuple[Partition, Pa
 def partition_triples(draw, min_n: int = 1, max_n: int = 5):
     n = draw(st.integers(min_n, max_n))
     return draw(partitions_of(n)), draw(partitions_of(n)), draw(partitions_of(n))
+
+
+@st.composite
+def relations(draw, min_n: int = 4, max_n: int = 9) -> tuple[int, frozenset[tuple[int, int]]]:
+    """A universe size and a set of pairs on it, symmetric or not.
+
+    A few random pairs, or all pairs but a few, so closures and
+    interiors both come out neither trivial nor total.
+    """
+    n = draw(st.integers(min_n, max_n))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.frozensets(cell, max_size=2 * n))
+    if draw(st.booleans()):
+        pairs = frozenset(itertools.product(range(n), repeat=2)) - pairs
+    return n, pairs

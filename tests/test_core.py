@@ -4,14 +4,23 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from partlogic import BinaryRelation, Partition, enumerate_partitions, refines
+from partlogic import BinaryRelation, Partition, enumerate_partitions, meet, refines
 
 from conftest import (
+    empty_relation,
+    is_partition_relation,
     oracle_closure,
     oracle_ditset,
+    oracle_equivalence_failures,
+    oracle_fixpoint_closure,
+    oracle_inditset,
+    oracle_interior,
     oracle_partition_rgs,
     partition_pairs,
     partitions,
+    relation_from_pairs,
+    relations,
+    universal_relation,
 )
 
 
@@ -97,7 +106,7 @@ class TestRelations:
 
     def test_complementation_exhaustive(self):
         for n in range(1, 6):
-            universal = BinaryRelation.universal(n)
+            universal = universal_relation(n)
             for p in all_parts(n):
                 assert p.ditset | p.inditset == universal
                 assert len(p.ditset & p.inditset) == 0
@@ -105,23 +114,24 @@ class TestRelations:
 
     def test_from_pairs_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
-            BinaryRelation.from_pairs([(0, 3)], 3)
+            relation_from_pairs([(0, 3)], 3)
 
     def test_set_algebra(self):
-        a = BinaryRelation.from_pairs([(0, 1), (1, 2)], 3)
-        b = BinaryRelation.from_pairs([(1, 2), (2, 2)], 3)
+        a = relation_from_pairs([(0, 1), (1, 2)], 3)
+        b = relation_from_pairs([(1, 2), (2, 2)], 3)
         assert (a | b).pairs() == {(0, 1), (1, 2), (2, 2)}
         assert (a & b).pairs() == {(1, 2)}
         assert (a - b).pairs() == {(0, 1)}
         assert (1, 2) in a and (2, 1) not in a
         assert sorted(a) == [(0, 1), (1, 2)]
+        assert list(universal_relation(3)) == list(itertools.product(range(3), repeat=2))
         assert a & b <= a <= a | b
 
 
 class TestEquivalence:
     def test_partition_from_equivalence_examples(self):
         assert Partition.from_equivalence(BinaryRelation.identity(3)) == Partition.discrete(3)
-        assert Partition.from_equivalence(BinaryRelation.universal(3)) == Partition.indiscrete(3)
+        assert Partition.from_equivalence(universal_relation(3)) == Partition.indiscrete(3)
 
     def test_round_trip_exhaustive(self):
         for n in range(1, 6):
@@ -129,27 +139,41 @@ class TestEquivalence:
                 assert Partition.from_equivalence(p.inditset) == p
 
     def test_rejects_non_equivalence(self):
-        missing_reflexive = BinaryRelation.from_pairs([(0, 1), (1, 0)], 3)
+        missing_reflexive = relation_from_pairs([(0, 1), (1, 0)], 3)
         with pytest.raises(ValueError, match="reflexive"):
             Partition.from_equivalence(missing_reflexive)
-        asymmetric = BinaryRelation.identity(3) | BinaryRelation.from_pairs([(0, 1)], 3)
+        asymmetric = BinaryRelation.identity(3) | relation_from_pairs([(0, 1)], 3)
         with pytest.raises(ValueError, match="symmetric"):
             Partition.from_equivalence(asymmetric)
-        intransitive = BinaryRelation.identity(3) | BinaryRelation.from_pairs(
+        intransitive = BinaryRelation.identity(3) | relation_from_pairs(
             [(0, 1), (1, 0), (1, 2), (2, 1)], 3
         )
         with pytest.raises(ValueError, match="transitive"):
             Partition.from_equivalence(intransitive)
 
+    def test_decides_every_relation_on_three_elements(self):
+        # Accepts exactly the equivalences; otherwise names the first
+        # property that fails, in the order reflexive, symmetric, transitive.
+        n = 3
+        for mask in range(1 << (n * n)):
+            r = BinaryRelation(n, mask)
+            pairs = frozenset((u, v) for u in range(n) for v in range(n) if mask >> (u * n + v) & 1)
+            failures = oracle_equivalence_failures(pairs, n)
+            if failures:
+                with pytest.raises(ValueError, match=f"fails to be {failures[0]}$"):
+                    Partition.from_equivalence(r)
+            else:
+                assert oracle_inditset(Partition.from_equivalence(r).blocks) == pairs
+
     def test_predicates(self):
         diagonal = BinaryRelation.identity(3)
         assert diagonal.is_equivalence()
-        assert not diagonal.is_partition_relation()
-        lonely = BinaryRelation.from_pairs([(0, 1), (1, 0)], 3)
-        assert not lonely.is_partition_relation()
+        assert not is_partition_relation(diagonal)
+        lonely = relation_from_pairs([(0, 1), (1, 0)], 3)
+        assert not is_partition_relation(lonely)
         for n in range(1, 6):
             for p in all_parts(n):
-                assert p.ditset.is_partition_relation()
+                assert is_partition_relation(p.ditset)
                 assert p.inditset.is_equivalence()
 
     def test_anti_transitivity_disjunction_form(self):
@@ -176,8 +200,8 @@ class TestEquivalence:
 
 class TestClosureInterior:
     def test_closure_examples(self):
-        assert BinaryRelation.empty(3).closure() == BinaryRelation.identity(3)
-        assert BinaryRelation.from_pairs([(0, 1)], 3).closure().pairs() == {
+        assert empty_relation(3).closure() == BinaryRelation.identity(3)
+        assert relation_from_pairs([(0, 1)], 3).closure().pairs() == {
             (0, 0), (1, 1), (2, 2), (0, 1), (1, 0),
         }
 
@@ -187,10 +211,23 @@ class TestClosureInterior:
             r = BinaryRelation(n, mask)
             assert r.closure().pairs() == oracle_closure(r.pairs(), n)
 
+    @given(relations(min_n=4, max_n=9))
+    def test_closure_and_interior_match_the_fixpoint(self, case):
+        n, pairs = case
+        r = relation_from_pairs(pairs, n)
+        assert r.closure().pairs() == oracle_fixpoint_closure(pairs, n)
+        assert r.interior().pairs() == oracle_interior(pairs, n)
+
+    @given(partition_pairs(min_n=7, max_n=12))
+    def test_meet_is_the_fixpoint_of_both_inditsets(self, pq):
+        p, q = pq
+        together = oracle_inditset(p.blocks) | oracle_inditset(q.blocks)
+        assert oracle_inditset(meet(p, q).blocks) == oracle_fixpoint_closure(together, p.n)
+
     def test_interior_examples(self):
         n = 4
-        assert BinaryRelation.universal(n).interior() == Partition.discrete(n).ditset
-        no_symmetric_content = BinaryRelation.from_pairs([(0, 1), (1, 2), (0, 2)], 3)
+        assert universal_relation(n).interior() == Partition.discrete(n).ditset
+        no_symmetric_content = relation_from_pairs([(0, 1), (1, 2), (0, 2)], 3)
         assert len(no_symmetric_content.interior()) == 0
         sigma = Partition.from_blocks([[0], [1, 2, 3]], 4)
         pi = Partition.from_blocks([[0, 1], [2, 3]], 4)
@@ -214,7 +251,7 @@ class TestClosureInterior:
 
     def test_monotone(self):
         n = 3
-        small = BinaryRelation.from_pairs([(0, 1)], n)
+        small = relation_from_pairs([(0, 1)], n)
         for mask in range(1 << (n * n)):
             big = small | BinaryRelation(n, mask)
             assert small.closure() <= big.closure()
