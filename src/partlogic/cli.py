@@ -285,6 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args leaves the parser as it is and fills a
+# fresh Namespace per call, so in-process callers share it safely.
+_PARSER = _build_parser()
+
 _HANDLERS = {
     "check": cmd_check,
     "eval": cmd_eval,
@@ -296,8 +300,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "n", 1) < 1:
             raise ValueError("universe size must be at least 1")

@@ -38,6 +38,11 @@ def _equivalence_bits(labels: Sequence[Hashable]) -> int:
     return bits
 
 
+def _diagonal_bits(n: int) -> int:
+    """Relation bits of the pairs ``(u, u)``: the geometric series of bits ``k * (n + 1)``, ``k < n``."""
+    return ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
+
+
 def _component_labels(n: int, groups: Iterable[int]) -> list[int]:
     """Label each of ``0..n-1`` by the bit mask of its connected component.
 
@@ -86,13 +91,7 @@ class BinaryRelation:
 
     @classmethod
     def identity(cls, n: int) -> "BinaryRelation":
-        bits = 0
-        for u in range(n):
-            bits |= 1 << (u * n + u)
-        return cls(n, bits)
-
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self)
+        return cls(n, _diagonal_bits(n))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self._rows()):
@@ -136,7 +135,8 @@ class BinaryRelation:
         return [self.bits >> (u * n) & full for u in range(n)]
 
     def is_reflexive(self) -> bool:
-        return BinaryRelation.identity(self.n) <= self
+        diagonal = _diagonal_bits(self.n)
+        return self.bits & diagonal == diagonal
 
     def is_symmetric(self) -> bool:
         return all((v, u) in self for u, v in self)
@@ -145,9 +145,6 @@ class BinaryRelation:
         # R is transitive iff for every (u, v) in R the v-row is inside the u-row.
         rows = self._rows()
         return all(rows[v] & ~rows[u] == 0 for u, v in self)
-
-    def is_equivalence(self) -> bool:
-        return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
 
     def _components(self) -> list[int]:
         """Label each element by the mask of its class in the closure.
@@ -170,9 +167,6 @@ class BinaryRelation:
         mirroring the topological interior.
         """
         return self.complement().closure().complement()
-
-    def __str__(self) -> str:
-        return "{" + ",".join(f"({u},{v})" for u, v in self) + "}"
 
 
 @dataclass(frozen=True, order=True)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
-from .core import BinaryRelation, Partition, _component_labels, _label_masks, _require_same_universe, enumerate_partitions
+from .core import BinaryRelation, Partition, _component_labels, _diagonal_bits, _label_masks, _require_same_universe, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def retained_links(op: BoolOp2, p: Partition, q: Partition) -> BinaryRelation:
     """
     _require_same_universe(p, q)
     n = p.n
-    off = BinaryRelation.identity(n).complement().bits
+    off = ((1 << n * n) - 1) ^ _diagonal_bits(n)
     dp = p.ditset.bits
     dq = q.ditset.bits
     bits = 0

@@ -91,13 +91,17 @@ def universal_relation(n: int) -> BinaryRelation:
     return BinaryRelation(n, (1 << (n * n)) - 1)
 
 
+def is_equivalence(r: BinaryRelation) -> bool:
+    return r.is_reflexive() and r.is_symmetric() and r.is_transitive()
+
+
 def is_partition_relation(r: BinaryRelation) -> bool:
     """True when the complement is an equivalence relation.
 
     Equivalent to irreflexive + symmetric + anti-transitive, but the
     complement formulation is the one implemented.
     """
-    return r.complement().is_equivalence()
+    return is_equivalence(r.complement())
 
 
 def oracle_equivalence_failures(pairs: frozenset[tuple[int, int]], n: int) -> list[str]:

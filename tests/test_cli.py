@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partlogic import is_subset_tautology, parse
-from partlogic.cli import MAX_EVAL_SIZE, main
+from partlogic.cli import MAX_EVAL_SIZE, _build_parser, main
 from partlogic.suites import SUITES, CheckResult
 
 from conftest import suite_checks
@@ -260,6 +261,51 @@ class TestSuite:
         with pytest.raises(SystemExit) as err:
             main(["suite", "nonsense"])
         assert err.value.code == 2
+
+
+# Every sub-command, each format beside the text default, eval with and
+# without bindings, check flags beside their defaults, and a usage error.
+MIXED_ARGVS = [
+    ["check", "s \\/ ~s"],
+    ["check", "s -> p", "--max-size", "3", "--budget", "1000", "--format", "json"],
+    ["check", "s", "--max-size", "1"],
+    ["eval", "s -> p", "s={{a},{b,c,d}}", "p={{a,b},{c,d}}"],
+    ["eval", "0 -> 0", "--size", "3", "--format", "json"],
+    ["table", "implies", "2"],
+    ["table", "join", "2", "--format", "json"],
+    ["enumerate", "3"],
+    ["enumerate", "3", "--format", "dot"],
+    ["core", "{{a,b},{c,d}}", "--format", "json"],
+    ["suite", "figure3"],
+    ["table", "nonsense", "2"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneParser:
+    def test_main_builds_no_parser(self, capsys):
+        init = argparse.ArgumentParser.__init__
+        with mock.patch.object(argparse.ArgumentParser, "__init__", autospec=True, side_effect=init) as built:
+            run(capsys, "check", "s -> s", "--max-size", "2")
+            run(capsys, "eval", "s", "s={{a}}")
+            assert built.call_count == 0
+            _build_parser()
+        assert built.call_count == 7  # the counter sees a parser and its six sub-parsers
+
+    def test_outputs_do_not_depend_on_call_order(self, capsys):
+        forward = [outcome(capsys, argv) for argv in MIXED_ARGVS]
+        backward = [outcome(capsys, argv) for argv in reversed(MIXED_ARGVS)][::-1]
+        for argv, first, second in zip(MIXED_ARGVS, forward, backward):
+            assert first == second, argv
+        assert [code for code, _, _ in forward] == [1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
 
 
 formula_texts = st.one_of(
