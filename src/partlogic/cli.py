@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except Exception as exc:
         # Exit 1 is reserved for a counterexample or a failed suite; anything
-        # else that escapes a handler (deep recursion, say) is an error.
+        # else that escapes a handler is an error.
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
 

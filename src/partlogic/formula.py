@@ -89,146 +89,131 @@ class ParseError(ValueError):
         self.position = position
 
 
+# One alternative per token kind, tried in this order after any whitespace;
+# ``bad`` takes a character that starts no token.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<not>~)|(?P<or>\||\\/)|(?P<and>&|/\\)"
+    rf"|(?P<arrow>->)|(?P<zero>0)|(?P<one>1)|(?P<ident>{_IDENT_RE.pattern})|(?P<bad>\S))"
+)
+# Binding power of each binary connective, whether it groups to the right,
+# and the node it builds.
+_BINARY = {"arrow": (1, True, Implies), "or": (2, False, Or), "and": (3, False, And)}
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            tokens.append(("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("rparen", c, i))
-            i += 1
-        elif c == "~":
-            tokens.append(("not", c, i))
-            i += 1
-        elif c == "|":
-            tokens.append(("or", c, i))
-            i += 1
-        elif c == "&":
-            tokens.append(("and", c, i))
-            i += 1
-        elif text.startswith("->", i):
-            tokens.append(("arrow", "->", i))
-            i += 2
-        elif text.startswith("\\/", i):
-            tokens.append(("or", "\\/", i))
-            i += 2
-        elif text.startswith("/\\", i):
-            tokens.append(("and", "/\\", i))
-            i += 2
-        elif c == "0":
-            tokens.append(("zero", c, i))
-            i += 1
-        elif c == "1":
-            tokens.append(("one", c, i))
-            i += 1
-        elif m := _IDENT_RE.match(text, i):
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value, position = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", position)
+        tokens.append((kind, value, position))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek()[0] == "or":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.negation()
-        while self.peek()[0] == "and":
-            self.take()
-            left = And(left, self.negation())
-        return left
-
-    def negation(self) -> Formula:
-        if self.peek()[0] == "not":
-            self.take()
-            return Not(self.negation())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, position = self.take()
-        if kind == "ident":
-            return Var(value)
-        if kind == "zero":
-            return Const0()
-        if kind == "one":
-            return Const1()
-        if kind == "lparen":
-            inner = self.formula()
-            kind, _, position = self.take()
-            if kind != "rparen":
-                raise ParseError("expected ')'", position)
-            return inner
-        raise ParseError("expected a variable, constant, '~', or '('", position)
-
-
 def parse(text: str) -> Formula:
-    """Parse a formula; implication binds loosest and associates right."""
-    parser = _Parser(_tokenize(text))
-    result = parser.formula()
-    kind, value, position = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {value!r} after formula", position)
-    return result
+    """Parse a formula; implication binds loosest and associates right.
+
+    ``~`` binds tightest, then ``/\\`` (or ``&``), then ``\\/`` (or
+    ``|``); both group to the left.  One loop reads the tokens with an
+    operand stack and an operator stack (operator precedence, after
+    Dijkstra's shunting yard), so nesting depth is bounded only by
+    memory.  Raises :class:`ParseError` at the first token no formula
+    can continue with.
+    """
+    operands: list[Formula] = []
+    # Pending "not" and "lparen" tokens and binary connective kinds.
+    operators: list[str] = []
+    expect_operand = True
+    for kind, value, position in _tokenize(text):
+        if expect_operand:
+            if kind == "ident":
+                operand = Var(value)
+            elif kind == "zero":
+                operand = Const0()
+            elif kind == "one":
+                operand = Const1()
+            elif kind == "not" or kind == "lparen":
+                operators.append(kind)
+                continue
+            else:
+                raise ParseError("expected a variable, constant, '~', or '('", position)
+            expect_operand = False
+        else:
+            binary = _BINARY.get(kind)
+            precedence = binary[0] if binary else 0
+            # Reduce the pending connectives that bind tighter; an equal one
+            # is reduced too unless the connective groups to the right.
+            while operators and operators[-1] in _BINARY:
+                top, _, node = _BINARY[operators[-1]]
+                if top < precedence or (top == precedence and binary[1]):
+                    break
+                operators.pop()
+                right = operands.pop()
+                operands[-1] = node(operands[-1], right)
+            if binary:
+                operators.append(kind)
+                expect_operand = True
+                continue
+            if kind == "end" and not operators:
+                break
+            if kind != "rparen" or not operators:
+                raise ParseError("expected ')'" if operators else f"unexpected {value!r} after formula", position)
+            operators.pop()
+            operand = operands.pop()
+        while operators and operators[-1] == "not":
+            operators.pop()
+            operand = Not(operand)
+        operands.append(operand)
+    return operands[0]
+
+
+# How each connective prints: its precedence, its symbol, and the least
+# precedence its left and right operands print at without parentheses
+# (``None`` on the left of the prefix ``~``).
+_LAYOUT = {
+    Not: (4, "~", None, 4),
+    And: (3, " /\\ ", 3, 4),
+    Or: (2, " \\/ ", 2, 3),
+    Implies: (1, " -> ", 2, 1),
+}
 
 
 def format_formula(f: Formula) -> str:
-    """Print with minimal parentheses; ``parse(format_formula(f)) == f``."""
-    return _format(f, 0)
+    """Print with minimal parentheses; ``parse(format_formula(f)) == f``.
 
-
-def _format(f: Formula, minimum: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Const0):
-        return "0"
-    if isinstance(f, Const1):
-        return "1"
-    if isinstance(f, Not):
-        text = "~" + _format(f.child, 4)
-        precedence = 4
-    elif isinstance(f, And):
-        text = f"{_format(f.left, 3)} /\\ {_format(f.right, 4)}"
-        precedence = 3
-    elif isinstance(f, Or):
-        text = f"{_format(f.left, 2)} \\/ {_format(f.right, 3)}"
-        precedence = 2
-    elif isinstance(f, Implies):
-        text = f"{_format(f.left, 2)} -> {_format(f.right, 1)}"
-        precedence = 1
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    return f"({text})" if precedence < minimum else text
+    Pieces are written left to right off an explicit stack of
+    ``(node, least precedence)`` pairs and closing text.
+    """
+    pieces: list[str] = []
+    todo: list = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, minimum = item
+        if isinstance(node, Var):
+            pieces.append(node.name)
+        elif isinstance(node, Const0):
+            pieces.append("0")
+        elif isinstance(node, Const1):
+            pieces.append("1")
+        else:
+            layout = _LAYOUT.get(type(node))
+            if layout is None:
+                raise TypeError(f"not a formula node: {node!r}")
+            precedence, symbol, left, right = layout
+            if precedence < minimum:
+                pieces.append("(")
+                todo.append(")")
+            if left is None:
+                pieces.append(symbol)
+                todo.append((node.child, right))
+            else:
+                todo += (node.right, right), symbol, (node.left, left)
+    return "".join(pieces)
 
 
 def free_vars(f: Formula) -> tuple[str, ...]:
@@ -260,6 +245,9 @@ class Assignment:
                 raise ValueError(f"binding {name!r} has universe size {p.n}, expected {self.n}")
 
 
+_PLACED = object()
+
+
 def _compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
     """Hash-cons ``f`` into its distinct subformulas in post-order, the root last.
 
@@ -273,24 +261,32 @@ def _compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
     index = {name: i for i, name in enumerate(names)}
     steps: dict[tuple, int] = {}
     placed: dict[int, int] = {}
-
-    def place(node: Formula) -> int:
-        if id(node) not in placed:
-            match node:
-                case Var(name):
-                    key = (Var, index[name], None)
-                case Const0() | Const1():
-                    key = (type(node), None, None)
-                case Not(child):
-                    key = (Not, place(child), None)
-                case And(left, right) | Or(left, right) | Implies(left, right):
-                    key = (type(node), place(left), place(right))
-                case _:
-                    raise TypeError(f"not a formula node: {node!r}")
-            placed[id(node)] = steps.setdefault(key, len(steps))
-        return placed[id(node)]
-
-    place(f)
+    # Post-order off an explicit stack: a node goes back under ``_PLACED``
+    # and its operands, right below left, and is keyed once they are placed.
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        if node is _PLACED:
+            node = todo.pop()
+            if isinstance(node, Not):
+                key = (Not, placed[id(node.child)], None)
+            else:
+                key = (type(node), placed[id(node.left)], placed[id(node.right)])
+        elif id(node) in placed:
+            continue
+        elif isinstance(node, Var):
+            key = (Var, index[node.name], None)
+        elif isinstance(node, (Const0, Const1)):
+            key = (type(node), None, None)
+        elif isinstance(node, Not):
+            todo += node, _PLACED, node.child
+            continue
+        elif isinstance(node, (And, Or, Implies)):
+            todo += node, _PLACED, node.right, node.left
+            continue
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        placed[id(node)] = steps.setdefault(key, len(steps))
     return names, list(steps)
 
 

@@ -2,14 +2,16 @@
 
 The oracles here are deliberately independent of the package internals:
 plain set arithmetic over frozensets of pairs, brute-force enumeration
-by quotienting block labelings, and formula evaluators that walk the
-tree with no compilation.  They exist so the fast implementations are
+by quotienting block labelings, formula evaluators that walk the tree
+with no compilation, and a recursive-descent parser, printer and
+compiler that the loop-driven front end must agree with exactly.  They exist so the fast implementations are
 checked against something slower and more obviously correct.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -24,8 +26,10 @@ from partlogic import (
     Implies,
     Not,
     Or,
+    ParseError,
     Partition,
     Var,
+    free_vars,
     implication_blocks,
     join,
     meet,
@@ -206,6 +210,178 @@ def oracle_eval_boolean(f: Formula, bits: dict[str, bool]) -> bool:
         case Implies(left, right):
             return not oracle_eval_boolean(left, bits) or oracle_eval_boolean(right, bits)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c == "(":
+            tokens.append(("lparen", c, i))
+            i += 1
+        elif c == ")":
+            tokens.append(("rparen", c, i))
+            i += 1
+        elif c == "~":
+            tokens.append(("not", c, i))
+            i += 1
+        elif c == "|":
+            tokens.append(("or", c, i))
+            i += 1
+        elif c == "&":
+            tokens.append(("and", c, i))
+            i += 1
+        elif text.startswith("->", i):
+            tokens.append(("arrow", "->", i))
+            i += 2
+        elif text.startswith("\\/", i):
+            tokens.append(("or", "\\/", i))
+            i += 2
+        elif text.startswith("/\\", i):
+            tokens.append(("and", "/\\", i))
+            i += 2
+        elif c == "0":
+            tokens.append(("zero", c, i))
+            i += 1
+        elif c == "1":
+            tokens.append(("one", c, i))
+            i += 1
+        elif m := _IDENT_RE.match(text, i):
+            tokens.append(("ident", m.group(), i))
+            i = m.end()
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def take(self) -> tuple[str, str, int]:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def formula(self) -> Formula:
+        left = self.disjunction()
+        if self.peek()[0] == "arrow":
+            self.take()
+            return Implies(left, self.formula())
+        return left
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while self.peek()[0] == "or":
+            self.take()
+            left = Or(left, self.conjunction())
+        return left
+
+    def conjunction(self) -> Formula:
+        left = self.negation()
+        while self.peek()[0] == "and":
+            self.take()
+            left = And(left, self.negation())
+        return left
+
+    def negation(self) -> Formula:
+        if self.peek()[0] == "not":
+            self.take()
+            return Not(self.negation())
+        return self.atom()
+
+    def atom(self) -> Formula:
+        kind, value, position = self.take()
+        if kind == "ident":
+            return Var(value)
+        if kind == "zero":
+            return Const0()
+        if kind == "one":
+            return Const1()
+        if kind == "lparen":
+            inner = self.formula()
+            kind, _, position = self.take()
+            if kind != "rparen":
+                raise ParseError("expected ')'", position)
+            return inner
+        raise ParseError("expected a variable, constant, '~', or '('", position)
+
+
+def oracle_parse(text: str) -> Formula:
+    """Recursive-descent parse: one method per precedence level."""
+    parser = _Parser(_tokenize(text))
+    result = parser.formula()
+    kind, value, position = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {value!r} after formula", position)
+    return result
+
+
+def oracle_format(f: Formula) -> str:
+    """Print with minimal parentheses by recursing on the tree."""
+    return _format(f, 0)
+
+
+def _format(f: Formula, minimum: int) -> str:
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Const0):
+        return "0"
+    if isinstance(f, Const1):
+        return "1"
+    if isinstance(f, Not):
+        text = "~" + _format(f.child, 4)
+        precedence = 4
+    elif isinstance(f, And):
+        text = f"{_format(f.left, 3)} /\\ {_format(f.right, 4)}"
+        precedence = 3
+    elif isinstance(f, Or):
+        text = f"{_format(f.left, 2)} \\/ {_format(f.right, 3)}"
+        precedence = 2
+    elif isinstance(f, Implies):
+        text = f"{_format(f.left, 2)} -> {_format(f.right, 1)}"
+        precedence = 1
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    return f"({text})" if precedence < minimum else text
+
+
+def oracle_compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
+    """Hash-cons ``f`` into post-order steps by recursion, left operand first."""
+    names = free_vars(f)
+    index = {name: i for i, name in enumerate(names)}
+    steps: dict[tuple, int] = {}
+    placed: dict[int, int] = {}
+
+    def place(node: Formula) -> int:
+        if id(node) not in placed:
+            match node:
+                case Var(name):
+                    key = (Var, index[name], None)
+                case Const0() | Const1():
+                    key = (type(node), None, None)
+                case Not(child):
+                    key = (Not, place(child), None)
+                case And(left, right) | Or(left, right) | Implies(left, right):
+                    key = (type(node), place(left), place(right))
+                case _:
+                    raise TypeError(f"not a formula node: {node!r}")
+            placed[id(node)] = steps.setdefault(key, len(steps))
+        return placed[id(node)]
+
+    place(f)
+    return names, list(steps)
 
 
 @st.composite

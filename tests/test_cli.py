@@ -3,12 +3,16 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import partlogic
 from partlogic import is_subset_tautology, parse
 from partlogic.cli import MAX_EVAL_SIZE, _build_parser, main
 from partlogic.suites import SUITES, CheckResult
@@ -102,10 +106,27 @@ class TestCheck:
         assert code == 0
         assert "no counterexample up to n=100000" in out
 
-    def test_deep_negation_exits_two(self, capsys):
-        code, out, err = run(capsys, "check", "~" * 3000 + "s")
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # Parsing, printing and compiling loop over explicit stacks, so depth
+    # past the interpreter's recursion limit still gets a verdict.
+    def test_deep_negation_gets_a_verdict(self, capsys):
+        code, out, err = run(capsys, "check", "~" * 10**4 + "s")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == "partition: counterexample at n=2: s={{a,b}}"
+
+    def test_long_implication_chain_gets_a_verdict(self, capsys):
+        code, out, err = run(capsys, "check", " -> ".join(["s"] * 10**4))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "partition: no counterexample up to n=4"
+
+    def test_deep_negation_on_stdin_in_a_fresh_process(self):
+        src = os.path.dirname(os.path.dirname(partlogic.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "partlogic.cli", "check", "-"], input="~" * 10**5 + "s\n",
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 30
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout.splitlines()[-1] == "partition: counterexample at n=2: s={{a,b}}"
 
 
 class TestEval:
@@ -137,10 +158,9 @@ class TestEval:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: --size")
 
-    def test_deep_parentheses_exit_two(self, capsys):
-        code, out, err = run(capsys, "eval", "(" * 2000 + "s" + ")" * 2000, "s={{a}}")
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    def test_deep_parentheses_get_a_value(self, capsys):
+        depth = 10**5
+        assert run(capsys, "eval", "(" * depth + "s" + ")" * depth, "s={{a}}") == (0, "{{a}}\n", "")
 
     def test_unbound_variable(self, capsys):
         code, _, err = run(capsys, "eval", "s -> p", "s={{a},{b}}")
@@ -256,6 +276,13 @@ class TestSuite:
         assert code == 1
         assert "FAIL breaks  (n=3: {{0},{1,2}})" in out
         assert out.strip().splitlines()[-1] == "suite figure3: 1/2 checks passed"
+
+    def test_unexpected_exception_exits_two_on_one_line(self, capsys, monkeypatch):
+        def boom():
+            raise RuntimeError("boom\n  detail")
+
+        monkeypatch.setitem(SUITES, "figure3", boom)
+        assert run(capsys, "suite", "figure3") == (2, "", "error: RuntimeError: boom detail\n")
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,14 @@ from partlogic import (
 from partlogic import formula
 from partlogic.suites import CLASSICAL_TAUTOLOGIES, NON_TAUTOLOGIES
 
-from conftest import oracle_eval_boolean, oracle_eval_partition, partitions_of
+from conftest import (
+    oracle_compile,
+    oracle_eval_boolean,
+    oracle_eval_partition,
+    oracle_format,
+    oracle_parse,
+    partitions_of,
+)
 
 
 formulas = st.recursive(
@@ -67,6 +75,26 @@ repeated_formulas = st.recursive(
     ),
     max_leaves=8,
 )
+# Token spellings, whitespace, characters that start no token (``2``,
+# ``\u00e9``) or start one they do not finish (``-``), and whole printed
+# formulas, so that well-formed text is common too, run together.
+formula_texts = st.lists(
+    st.one_of(
+        st.sampled_from(["s", "p", "q1", "0", "1", "~", "(", ")", "->", "\\/", "/\\", "|", "&",
+                         " ", "\t", "-", "2", "\u00e9"]),
+        small_formulas.map(oracle_format),
+    ),
+    max_size=16,
+).map("".join)
+
+
+def parsed(parser, printer, text):
+    """The formula and its printed text, or the error message and position."""
+    try:
+        f = parser(text)
+    except ParseError as err:
+        return str(err), err.position
+    return f, printer(f)
 
 
 class TestParser:
@@ -109,6 +137,11 @@ class TestParser:
             ("", 0),
             ("s -> -", 5),
             ("s -> \u00e9", 5),
+            ("()", 1),
+            ("(s p)", 3),
+            ("s ~", 2),
+            ("((s)", 4),
+            ("~", 1),
         ],
     )
     def test_errors_carry_positions(self, text, position):
@@ -125,6 +158,23 @@ class TestParser:
     @given(formulas)
     def test_print_parse_round_trip(self, f):
         assert parse(format_formula(f)) == f
+
+    @settings(max_examples=300)
+    @given(formula_texts)
+    def test_matches_recursive_descent(self, text):
+        assert parsed(parse, format_formula, text) == parsed(oracle_parse, oracle_format, text)
+
+    @given(st.one_of(formulas, repeated_formulas))
+    def test_print_and_compile_match_recursion(self, f):
+        assert format_formula(f) == oracle_format(f)
+        assert formula._compile(f) == oracle_compile(f)
+
+    def test_nesting_far_past_the_recursion_limit(self):
+        depth = 10**4
+        f = parse("~" * depth + "(" * depth + "s -> " * depth + "s" + ")" * depth)
+        assert format_formula(f) == "~" * depth + "(" + "s -> " * depth + "s)"
+        names, steps = formula._compile(f)
+        assert names == ("s",) and len(steps) == 2 * depth + 1
 
     def test_printing_examples(self):
         assert format_formula(parse("a -> b -> c")) == "a -> b -> c"
@@ -351,6 +401,26 @@ class TestRefuter:
                 assert cex is None or cex.n == 2
                 checked += cex is not None
         assert checked > 1000
+
+
+class TestCensus:
+    def test_two_connectives_fail_first_at_three(self):
+        """Every tree of at most two connectives over ``s``, ``p``, ``0``, ``1``.
+
+        Each classical tautology among them that fails over partitions
+        fails first at n=3; none first fails at n=4.
+        """
+        by_connectives = [[Var("s"), Var("p"), Const0(), Const1()]]
+        for k in (1, 2):
+            trees = [Not(f) for f in by_connectives[k - 1]]
+            trees += [op(a, b) for op in (And, Or, Implies) for i in range(k)
+                      for a in by_connectives[i] for b in by_connectives[k - 1 - i]]
+            by_connectives.append(trees)
+        trees = [f for layer in by_connectives for f in layer]
+        tautologies = [f for f in trees if is_subset_tautology(f)]
+        hits = [find_partition_counterexample(f, max_n=4) for f in tautologies]
+        first_failures = Counter(cex.n for cex in hits if cex is not None)
+        assert (len(trees), len(tautologies), first_failures) == (1356, 515, {3: 12})
 
 
 class TestTransform:
