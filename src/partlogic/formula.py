@@ -15,12 +15,11 @@ never more.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import Partition, enumerate_partitions
 from .ops import AND, IMPLIES, OR, implication_blocks, join, meet, negation
@@ -373,9 +372,6 @@ class SearchBudgetExceeded(RuntimeError):
 # Entries the refuter's per-level memo of connective results may hold; it is
 # cleared when full, so memory stays bounded at every size the budget admits.
 _MEMO_LIMIT = 1 << 16
-# Entries, rows times Bell(n), in the refuter's table of relabellings:
-# n!*Bell(n) is 146,160 at n=6, so up to n=6 every relabelling is used.
-_ACTION_LIMIT = 150_000
 # Partitions, and indices, a level keeps at hand: every one up to n=7.
 _KNOWN_LIMIT = 1024
 
@@ -433,40 +429,46 @@ class _Level:
             index = known[p.rgs] = _rank(self.tails, p.rgs)
         return index
 
-    def relabellings(self) -> list[array]:
-        """How each permutation of the first ``m`` elements acts on indices.
+    def shapes(self) -> list[int]:
+        """The least index in each orbit of relabelling, in order.
 
-        ``m`` is the largest size whose ``m!`` rows of ``size`` entries
-        fit in ``_ACTION_LIMIT``.  Only the adjacent transpositions
-        ``(j-1 j)`` are computed on partitions; Sym(j+1) is then the
-        cycles ``(k k+1 .. j)``, one per ``k <= j``, composed onto
-        Sym(j).  The identity is left out, as it prunes nothing.  At n=2
-        every permutation fixes both partitions, so no row is kept; from
-        n=3 on distinct permutations move some partition differently, so
-        no row repeats.
+        Relabelling keeps block sizes, and the least rgs with given sizes
+        lays its blocks out as runs of non-increasing size: one per
+        integer partition of ``n``, generated in reverse lexicographic
+        order (TAOCP 4A, 7.2.1.4), which is index order.
         """
-        n, size = self.n, self.size
-        m = 1
-        while m < n and math.factorial(m + 1) * size <= _ACTION_LIMIT:
-            m += 1
-        if n < 3 or m == 1:
-            return []
-        # Two bytes hold every index up to n=9, the last size with rows at this limit.
-        typecode = "H" if size <= 1 << 16 else "I"
-        swaps = [array(typecode) for _ in range(m - 1)]
+        indices = []
+        todo = [((), self.n, self.n)]  # labels so far, positions left, largest next block
+        while todo:
+            labels, left, largest = todo.pop()
+            if left:
+                block = labels[-1] + 1 if labels else 0
+                todo += [(labels + (block,) * size, left - size, size)
+                         for size in range(1, min(left, largest) + 1)]
+            else:
+                indices.append(_rank(self.tails, labels))
+        return indices
+
+    def swaps(self) -> list[array]:
+        """How each generating relabelling, its own inverse, acts on indices.
+
+        First the interval swaps of ``a..a+L-1`` with ``a+L..a+2L-1``,
+        which generate the stabilizer of each block shape, then the
+        products ``(i i+1)(j j+1)``: ``(0 1)(2 3)`` fixes ``{0,2},{1,3}``,
+        though neither of its factors does.
+        """
+        n, tails = self.n, self.tails
+        if n < 3:
+            return []  # every relabelling fixes both partitions of a 2-set
+        cuts = [(a, a + length, a + 2 * length)
+                for length in range(1, n // 2 + 1) for a in range(n - 2 * length + 1)]
+        rows = [array("I") for _ in cuts]
         for p in enumerate_partitions(n):
-            for j, row in enumerate(swaps):
-                labels = list(p.rgs)
-                labels[j], labels[j + 1] = labels[j + 1], labels[j]
-                row.append(_rank(self.tails, labels))
-        identity = array(typecode, range(size))
-        group = [identity]
-        for j in range(1, m):
-            cycles = [identity]
-            for k in reversed(range(j)):
-                cycles.append(array(typecode, map(swaps[k].__getitem__, cycles[-1])))
-            group = [array(typecode, map(cycle.__getitem__, row)) for cycle in cycles for row in group]
-        return group[1:]  # the identity cycle on the identity row comes first
+            for (a, b, c), row in zip(cuts, rows):
+                row.append(_rank(tails, p.rgs[:a] + p.rgs[b:c] + p.rgs[a:b] + p.rgs[c:]))
+        # The first n-1 rows are the adjacent transpositions.
+        return rows + [array("I", map(rows[i].__getitem__, rows[j]))
+                       for i in range(n - 3) for j in range(i + 2, n - 1)]
 
 
 def _rank(tails: list[list[int]], labels: Sequence) -> int:
@@ -509,17 +511,17 @@ def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[li
     """The least falsifying assignment on ``level`` as a tuple of indices, or ``None``.
 
     Loop ``d`` binds variable ``d`` and runs only the steps of depth
-    ``d``.  Inside the outermost loop a connective on indices is
-    computed once by the partition operation and kept in ``memo``.  The
-    outermost loop's own steps run once per value of the first
-    variable, where a memo would only fill up with one entry per value,
-    so they call the operation directly.
+    ``d``.  A connective on indices is computed once by the partition
+    operation and kept in ``memo``.
 
     Values are pruned by relabelling: a permutation ``g`` maps
     counterexamples to counterexamples, so the least one ``c`` satisfies
     ``c <= g.c``.  When ``g`` fixes the bound prefix this forces
     ``c[d] <= g.c[d]``, so a value that some such ``g`` maps lower is
-    skipped, and the first hit is still ``c``.
+    skipped, and the first hit is still ``c``.  The first variable,
+    with nothing bound, takes only the block shapes, the least of each
+    orbit; a deeper one is tested against the ``_Level.swaps`` that fix
+    every bound value.
     """
     size, k = level.size, len(var_slots)
     top = size - 1
@@ -534,40 +536,34 @@ def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[li
         result = algebra[kind](p) if kind is Not else algebra[kind](p, level.partition(j))
         return level.index(result)
 
-    def run(todo: list[tuple]) -> None:
-        for out, kind, a, b in todo:
-            slots[out] = apply(kind, slots[a], slots[b])
-
-    def descend(depth: int, stabilizer: list[array]) -> bool:
+    def descend(depth: int, candidates: Iterable[int], swaps: list[array]) -> bool:
         slot, todo, last = var_slots[depth], runs[depth + 1], depth == k - 1
-        if stabilizer:
-            candidates = (v for v, low in enumerate(map(min, range(size), *stabilizer)) if low == v)
-        else:
-            candidates = range(size)
         for v in candidates:
             slots[slot] = values[depth] = v
-            if not depth:
-                run(todo)
-            else:
-                for out, kind, a, b in todo:
-                    key = (kind, slots[a], slots[b])
-                    value = memo.get(key)
-                    if value is None:
-                        if len(memo) >= _MEMO_LIMIT:
-                            memo.clear()
-                        value = memo[key] = apply(*key)
-                    slots[out] = value
+            for out, kind, a, b in todo:
+                key = (kind, slots[a], slots[b])
+                value = memo.get(key)
+                if value is None:
+                    if len(memo) >= _MEMO_LIMIT:
+                        memo.clear()
+                    value = memo[key] = apply(*key)
+                slots[out] = value
             if last:
                 if slots[-1] != top:
                     return True
-            elif descend(depth + 1, [row for row in stabilizer if row[v] == v]):
+                continue
+            fixing = [row for row in swaps if row[v] == v]
+            lows = map(min, range(size), *fixing) if fixing else range(size)
+            least = itertools.compress(range(size), map(operator.eq, lows, itertools.count()))
+            if descend(depth + 1, least, fixing):
                 return True
         return False
 
-    run(runs[0])
+    for out, kind, a, b in runs[0]:
+        slots[out] = apply(kind, slots[a], slots[b])
     if not k:
         return () if slots[-1] != top else None
-    return tuple(values) if descend(0, level.relabellings()) else None
+    return tuple(values) if descend(0, level.shapes(), level.swaps() if k > 1 else []) else None
 
 
 def find_partition_counterexample(
@@ -590,9 +586,10 @@ def find_partition_counterexample(
     two-element Boolean algebra at every larger size.  Raises
     :class:`SearchBudgetExceeded` before scanning any level whose
     assignment count passes ``budget``.  No level is held: partitions
-    are addressed by index, and the memo, the partitions kept at hand
-    and the relabelling table are bounded by ``_MEMO_LIMIT``,
-    ``_KNOWN_LIMIT`` and ``_ACTION_LIMIT``.
+    are addressed by index, and the memo and the partitions kept at
+    hand are bounded by ``_MEMO_LIMIT`` and ``_KNOWN_LIMIT``.  The
+    ``3*n*n/4`` or so relabelling rows are built only for two or more
+    variables, where Bell(n)**2 <= ``budget`` bounds them.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")

@@ -347,10 +347,70 @@ class TestRefuter:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    # At n=4 (15 partitions) an action table of 100 entries admits Sym(3)
-    # but not Sym(4), and one of 0 admits no relabelling, so nothing is
-    # pruned; tiny memo and partition caches are cleared again and again.
-    @pytest.mark.parametrize("limits", [{"_ACTION_LIMIT": 100}, {"_ACTION_LIMIT": 0},
+    @staticmethod
+    def _count_implications(monkeypatch) -> list[int]:
+        calls = [0]
+        production = formula.implication_blocks
+
+        def counting(p, q):
+            calls[0] += 1
+            return production(p, q)
+
+        monkeypatch.setattr(formula, "implication_blocks", counting)
+        return calls
+
+    def test_one_variable_visits_the_block_shapes(self, monkeypatch):
+        # one value per integer partition of n: 2+3+5+7+11+15+22+30+42 for n=2..10
+        calls = self._count_implications(monkeypatch)
+        assert find_partition_counterexample(parse("s -> s"), max_n=10) is None
+        assert calls[0] <= 137
+
+    def test_long_chain_reads_the_memo(self, monkeypatch):
+        calls = self._count_implications(monkeypatch)
+        chain = parse(" -> ".join(["s"] * 10**4))
+        assert find_partition_counterexample(chain) is None
+        assert calls[0] <= 100
+
+    @staticmethod
+    def _relabel(p, g):
+        return Partition.from_labels([p.rgs[x] for x in g])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_first_variable_takes_the_orbit_minima(self, n):
+        index = {p: i for i, p in enumerate(enumerate_partitions(n))}
+        group = list(itertools.permutations(range(n)))
+        minima = sorted({min(index[self._relabel(p, g)] for g in group) for p in index})
+        assert formula._Level(n).shapes() == minima
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_swaps_fixing_a_shape_generate_its_stabilizer(self, n):
+        level = formula._Level(n)
+        parts = list(enumerate_partitions(n))
+        group = list(itertools.permutations(range(n)))
+        rows = level.swaps()
+        for row in rows:
+            # the action of a relabelling that is its own inverse
+            assert any(all(row[i] == parts.index(self._relabel(p, g)) for i, p in enumerate(parts))
+                       for g in group)
+            assert all(row[row[i]] == i for i in range(level.size))
+        for shape in level.shapes():
+            stabilizer = [g for g in group if self._relabel(parts[shape], g) == parts[shape]]
+            orbits = {frozenset(parts.index(self._relabel(q, g)) for g in stabilizer) for q in parts}
+            # the orbits of the group the rows fixing the shape generate: join the ends of every edge
+            generated = {i: frozenset([i]) for i in range(level.size)}
+            for row in (row for row in rows if row[shape] == shape):
+                for i in range(level.size):
+                    if generated[i] is not generated[row[i]]:
+                        merged = generated[i] | generated[row[i]]
+                        generated.update(dict.fromkeys(merged, merged))
+            assert set(generated.values()) == orbits
+
+    # Shapes alone prune only the first variable, every index and no rows
+    # prune nothing, and tiny caches are cleared again and again.
+    no_rows, every_index = (lambda level: []), (lambda level: range(level.size))
+
+    @pytest.mark.parametrize("limits", [{"_Level.swaps": no_rows},
+                                        {"_Level.swaps": no_rows, "_Level.shapes": every_index},
                                         {"_MEMO_LIMIT": 3, "_KNOWN_LIMIT": 2}])
     def test_bounded_tables_give_the_same_counterexample(self, monkeypatch, limits):
         rng = random.Random(7)
@@ -371,7 +431,7 @@ class TestRefuter:
         expected = [find_partition_counterexample(f, max_n=4) for f in corpus]
         assert expected[len(CLASSICAL_TAUTOLOGIES)].n == 4
         for name, value in limits.items():
-            monkeypatch.setattr(formula, name, value)
+            monkeypatch.setattr(f"partlogic.formula.{name}", value)
         assert [find_partition_counterexample(f, max_n=4) for f in corpus] == expected
 
     def test_budget_guard(self):
