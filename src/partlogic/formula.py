@@ -14,6 +14,7 @@ never more.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -341,11 +342,13 @@ def _require_tautology_width(names: Sequence[str]) -> None:
 
 
 def is_subset_tautology(f: Formula) -> bool:
-    """True when the formula holds under every classical truth assignment."""
-    names, steps = _compile(f)
-    _require_tautology_width(names)
-    truth_table = itertools.product((False, True), repeat=len(names))
-    return all(_evaluate(steps, _TRUTH_VALUES, bits) for bits in truth_table)
+    """True when the formula holds under every classical truth assignment.
+
+    The refuter's n=2 level is the truth table: the indiscrete and
+    discrete partitions of a 2-set are False and True.
+    """
+    _require_tautology_width(free_vars(f))
+    return find_partition_counterexample(f, max_n=2) is None
 
 
 def pi_negation_transform(f: Formula, pi_name: str) -> Formula:
@@ -369,11 +372,9 @@ class SearchBudgetExceeded(RuntimeError):
     """A refutation level would require more assignments than the budget allows."""
 
 
-# Entries the refuter's per-level memo of connective results may hold; it is
-# cleared when full, so memory stays bounded at every size the budget admits.
+# Entries the memo of one level may hold; it is cleared when full, so
+# memory stays bounded at every size the budget admits.
 _MEMO_LIMIT = 1 << 16
-# Partitions, and indices, a level keeps at hand: every one up to n=7.
-_KNOWN_LIMIT = 1024
 
 
 class _Level:
@@ -381,10 +382,13 @@ class _Level:
 
     ``tails[i][c]`` counts the ways to fill positions ``i+1..n-1`` of an
     rgs whose first ``i+1`` entries use ``c`` blocks.  It ranks and
-    unranks an rgs without holding the level: index 0 is the indiscrete
-    partition and ``size - 1`` the discrete one.  Partitions and indices
-    once computed are kept, at most ``_KNOWN_LIMIT`` of each; a full
-    cache is cleared.
+    unranks an rgs without enumerating the level: index 0 is the
+    indiscrete partition and ``size - 1`` the discrete one.  One level
+    serves every formula at its size (see ``_level``), so it keeps what
+    depends only on n: the block shapes, the relabelling rows, built on
+    first need, and ``memo``, from ``(kind, i, j)`` to the index of that
+    connective on those indices.  The memo holds at most ``_MEMO_LIMIT``
+    entries; a full memo is cleared.
     """
 
     def __init__(self, n: int):
@@ -397,38 +401,29 @@ class _Level:
         tails.reverse()
         self.tails = tails
         self.size = tails[0][1]
-        self._partitions: dict[int, Partition] = {}
-        self._indices: dict[tuple[int, ...], int] = {}
+        self.algebra = _partition_algebra(n)
+        self.memo: dict[tuple, int] = {}
 
     def partition(self, index: int) -> Partition:
         """The partition at ``index``."""
-        known = self._partitions
-        p = known.get(index)
-        if p is None:
-            if len(known) >= _KNOWN_LIMIT:
-                known.clear()
-            rgs = []
-            rest = index
-            used = 0
-            for tail in self.tails:
-                count = tail[used]
-                block = min(rest // count, used)
-                rest -= block * count
-                rgs.append(block)
-                used += block == used
-            p = known[index] = Partition._canonical(self.n, tuple(rgs))
-        return p
+        rgs = []
+        rest = index
+        used = 0
+        for tail in self.tails:
+            count = tail[used]
+            block = min(rest // count, used)
+            rest -= block * count
+            rgs.append(block)
+            used += block == used
+        return Partition._canonical(self.n, tuple(rgs))
 
-    def index(self, p: Partition) -> int:
-        """The index of ``p``."""
-        known = self._indices
-        index = known.get(p.rgs)
-        if index is None:
-            if len(known) >= _KNOWN_LIMIT:
-                known.clear()
-            index = known[p.rgs] = _rank(self.tails, p.rgs)
-        return index
+    def apply(self, kind: type, i: int, j: int) -> int:
+        """The index of connective ``kind`` on indices ``i`` and ``j``; ``Not`` reads ``i`` only."""
+        p = self.partition(i)
+        result = self.algebra[kind](p) if kind is Not else self.algebra[kind](p, self.partition(j))
+        return _rank(self.tails, result.rgs)
 
+    @functools.cached_property
     def shapes(self) -> list[int]:
         """The least index in each orbit of relabelling, in order.
 
@@ -449,6 +444,7 @@ class _Level:
                 indices.append(_rank(self.tails, labels))
         return indices
 
+    @functools.cached_property
     def swaps(self) -> list[array]:
         """How each generating relabelling, its own inverse, acts on indices.
 
@@ -469,6 +465,11 @@ class _Level:
         # The first n-1 rows are the adjacent transpositions.
         return rows + [array("I", map(rows[i].__getitem__, rows[j]))
                        for i in range(n - 3) for j in range(i + 2, n - 1)]
+
+
+# One level per universe size, shared by every formula and kept for the
+# life of the process.
+_level = functools.cache(_Level)
 
 
 def _rank(tails: list[list[int]], labels: Sequence) -> int:
@@ -511,8 +512,9 @@ def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[li
     """The least falsifying assignment on ``level`` as a tuple of indices, or ``None``.
 
     Loop ``d`` binds variable ``d`` and runs only the steps of depth
-    ``d``.  A connective on indices is computed once by the partition
-    operation and kept in ``memo``.
+    ``d``.  A connective on indices is computed once by
+    ``_Level.apply`` and read from the level's memo after that, in this
+    scan and in every later one at the same size.
 
     Values are pruned by relabelling: a permutation ``g`` maps
     counterexamples to counterexamples, so the least one ``c`` satisfies
@@ -523,18 +525,11 @@ def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[li
     orbit; a deeper one is tested against the ``_Level.swaps`` that fix
     every bound value.
     """
-    size, k = level.size, len(var_slots)
+    size, k, memo = level.size, len(var_slots), level.memo
     top = size - 1
-    algebra = _partition_algebra(level.n)
-    memo: dict[tuple, int] = {}
     # The indiscrete partition is index 0 and the discrete one is ``top``.
     slots = [top if kind is Const1 else 0 for kind, _, _ in steps]
     values = [0] * k
-
-    def apply(kind: type, i: int, j: int) -> int:
-        p = level.partition(i)
-        result = algebra[kind](p) if kind is Not else algebra[kind](p, level.partition(j))
-        return level.index(result)
 
     def descend(depth: int, candidates: Iterable[int], swaps: list[array]) -> bool:
         slot, todo, last = var_slots[depth], runs[depth + 1], depth == k - 1
@@ -546,7 +541,7 @@ def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[li
                 if value is None:
                     if len(memo) >= _MEMO_LIMIT:
                         memo.clear()
-                    value = memo[key] = apply(*key)
+                    value = memo[key] = level.apply(*key)
                 slots[out] = value
             if last:
                 if slots[-1] != top:
@@ -560,10 +555,10 @@ def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[li
         return False
 
     for out, kind, a, b in runs[0]:
-        slots[out] = apply(kind, slots[a], slots[b])
+        slots[out] = level.apply(kind, slots[a], slots[b])
     if not k:
         return () if slots[-1] != top else None
-    return tuple(values) if descend(0, level.shapes(), level.swaps() if k > 1 else []) else None
+    return tuple(values) if descend(0, level.shapes, level.swaps if k > 1 else []) else None
 
 
 def find_partition_counterexample(
@@ -585,10 +580,10 @@ def find_partition_counterexample(
     closed formula stops there: the two constants form the same
     two-element Boolean algebra at every larger size.  Raises
     :class:`SearchBudgetExceeded` before scanning any level whose
-    assignment count passes ``budget``.  No level is held: partitions
-    are addressed by index, and the memo and the partitions kept at
-    hand are bounded by ``_MEMO_LIMIT`` and ``_KNOWN_LIMIT``.  The
-    ``3*n*n/4`` or so relabelling rows are built only for two or more
+    assignment count passes ``budget``.  Each size's ``_Level`` is built
+    once per process and kept: partitions are addressed by index, its
+    memo is bounded by ``_MEMO_LIMIT``, and its ``3*n*n/4`` or so
+    relabelling rows are built on the first formula of two or more
     variables, where Bell(n)**2 <= ``budget`` bounds them.
     """
     if max_n < 2:
@@ -596,7 +591,7 @@ def find_partition_counterexample(
     names, steps = _compile(f)
     var_slots, runs = _schedule(steps, len(names))
     for n in range(2, (max_n if names else 2) + 1):
-        level = _Level(n)
+        level = _level(n)
         count = level.size ** len(names)
         if count > budget:
             raise SearchBudgetExceeded(

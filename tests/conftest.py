@@ -212,6 +212,13 @@ def oracle_eval_boolean(f: Formula, bits: dict[str, bool]) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def oracle_is_tautology(f: Formula) -> bool:
+    """True under every row of the truth table, by ``oracle_eval_boolean``."""
+    names = free_vars(f)
+    return all(oracle_eval_boolean(f, dict(zip(names, bits)))
+               for bits in itertools.product((False, True), repeat=len(names)))
+
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 

@@ -36,6 +36,7 @@ from conftest import (
     oracle_eval_boolean,
     oracle_eval_partition,
     oracle_format,
+    oracle_is_tautology,
     oracle_parse,
     partitions_of,
 )
@@ -283,6 +284,18 @@ class TestSubsetTautology:
             is_subset_tautology(parse(wide))
 
 
+@pytest.fixture
+def cold_levels():
+    """Build the refuter's levels afresh inside the test, and drop them after it.
+
+    A level outlives the call that built it, so a warm one would pass a
+    test that patches or measures the refuter without exercising it.
+    """
+    formula._level.cache_clear()
+    yield
+    formula._level.cache_clear()
+
+
 class TestRefuter:
     def test_excluded_middle_counterexample(self):
         cex = find_partition_counterexample(parse("s \\/ ~s"), max_n=3)
@@ -313,7 +326,7 @@ class TestRefuter:
         assert all(h == hits[0] for h in hits)
         assert hits[0] is not None and hits[0].n == 3
 
-    def test_closed_formula_enumerates_no_level(self):
+    def test_closed_formula_enumerates_no_level(self, cold_levels):
         tracemalloc.start()
         try:
             assert find_partition_counterexample(parse("0 -> 0"), max_n=11) is None
@@ -338,7 +351,7 @@ class TestRefuter:
                 break
         assert find_partition_counterexample(f, max_n=3) == expected
 
-    def test_one_variable_does_not_hold_its_level(self):
+    def test_one_variable_does_not_hold_its_level(self, cold_levels):
         tracemalloc.start()
         try:
             assert find_partition_counterexample(parse("s -> s"), max_n=8) is None
@@ -359,17 +372,26 @@ class TestRefuter:
         monkeypatch.setattr(formula, "implication_blocks", counting)
         return calls
 
-    def test_one_variable_visits_the_block_shapes(self, monkeypatch):
+    def test_one_variable_visits_the_block_shapes(self, monkeypatch, cold_levels):
         # one value per integer partition of n: 2+3+5+7+11+15+22+30+42 for n=2..10
         calls = self._count_implications(monkeypatch)
         assert find_partition_counterexample(parse("s -> s"), max_n=10) is None
         assert calls[0] <= 137
 
-    def test_long_chain_reads_the_memo(self, monkeypatch):
+    def test_long_chain_reads_the_memo(self, monkeypatch, cold_levels):
         calls = self._count_implications(monkeypatch)
         chain = parse(" -> ".join(["s"] * 10**4))
         assert find_partition_counterexample(chain) is None
         assert calls[0] <= 100
+
+    def test_a_warm_level_computes_nothing_twice(self, monkeypatch, cold_levels):
+        calls = self._count_implications(monkeypatch)
+        syllogism = pi_negation_transform(parse("(s -> p) -> ((p -> q) -> (s -> q))"), "z")
+        assert find_partition_counterexample(syllogism, max_n=4) is None
+        assert calls[0] > 0
+        cold = calls[0]
+        assert find_partition_counterexample(syllogism, max_n=4) is None
+        assert calls[0] == cold
 
     @staticmethod
     def _relabel(p, g):
@@ -380,20 +402,20 @@ class TestRefuter:
         index = {p: i for i, p in enumerate(enumerate_partitions(n))}
         group = list(itertools.permutations(range(n)))
         minima = sorted({min(index[self._relabel(p, g)] for g in group) for p in index})
-        assert formula._Level(n).shapes() == minima
+        assert formula._Level(n).shapes == minima
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_swaps_fixing_a_shape_generate_its_stabilizer(self, n):
         level = formula._Level(n)
         parts = list(enumerate_partitions(n))
         group = list(itertools.permutations(range(n)))
-        rows = level.swaps()
+        rows = level.swaps
         for row in rows:
             # the action of a relabelling that is its own inverse
             assert any(all(row[i] == parts.index(self._relabel(p, g)) for i, p in enumerate(parts))
                        for g in group)
             assert all(row[row[i]] == i for i in range(level.size))
-        for shape in level.shapes():
+        for shape in level.shapes:
             stabilizer = [g for g in group if self._relabel(parts[shape], g) == parts[shape]]
             orbits = {frozenset(parts.index(self._relabel(q, g)) for g in stabilizer) for q in parts}
             # the orbits of the group the rows fixing the shape generate: join the ends of every edge
@@ -406,12 +428,14 @@ class TestRefuter:
             assert set(generated.values()) == orbits
 
     # Shapes alone prune only the first variable, every index and no rows
-    # prune nothing, and tiny caches are cleared again and again.
-    no_rows, every_index = (lambda level: []), (lambda level: range(level.size))
+    # prune nothing, a tiny memo is cleared again and again, and memos
+    # shared across formulas give the same answers in either order.
+    no_rows, every_index = property(lambda level: []), property(lambda level: range(level.size))
 
     @pytest.mark.parametrize("limits", [{"_Level.swaps": no_rows},
                                         {"_Level.swaps": no_rows, "_Level.shapes": every_index},
-                                        {"_MEMO_LIMIT": 3, "_KNOWN_LIMIT": 2}])
+                                        {"_MEMO_LIMIT": 3},
+                                        {}])
     def test_bounded_tables_give_the_same_counterexample(self, monkeypatch, limits):
         rng = random.Random(7)
 
@@ -430,9 +454,11 @@ class TestRefuter:
             corpus.append(Or(g, Not(g)) if i % 2 else g)
         expected = [find_partition_counterexample(f, max_n=4) for f in corpus]
         assert expected[len(CLASSICAL_TAUTOLOGIES)].n == 4
+        formula._level.cache_clear()
         for name, value in limits.items():
             monkeypatch.setattr(f"partlogic.formula.{name}", value)
         assert [find_partition_counterexample(f, max_n=4) for f in corpus] == expected
+        assert [find_partition_counterexample(f, max_n=4) for f in reversed(corpus)] == expected[::-1]
 
     def test_budget_guard(self):
         f = parse("s \\/ ~s \\/ p \\/ q")
@@ -457,7 +483,7 @@ class TestRefuter:
         for layer in layers:
             for f in layer:
                 cex = find_partition_counterexample(f, max_n=2)
-                assert (cex is None) == is_subset_tautology(f)
+                assert (cex is None) == oracle_is_tautology(f)
                 assert cex is None or cex.n == 2
                 checked += cex is not None
         assert checked > 1000
@@ -478,6 +504,7 @@ class TestCensus:
             by_connectives.append(trees)
         trees = [f for layer in by_connectives for f in layer]
         tautologies = [f for f in trees if is_subset_tautology(f)]
+        assert tautologies == [f for f in trees if oracle_is_tautology(f)]
         hits = [find_partition_counterexample(f, max_n=4) for f in tautologies]
         first_failures = Counter(cex.n for cex in hits if cex is not None)
         assert (len(trees), len(tautologies), first_failures) == (1356, 515, {3: 12})
