@@ -112,6 +112,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.size is None:
             raise ValueError("a formula without bindings needs --size")
         labels = default_labels(args.size)
+    elif len(labels) > MAX_EVAL_SIZE:
+        raise ValueError(f"the bindings have {len(labels)} elements, past the bound {MAX_EVAL_SIZE}")
     elif args.size is not None and args.size != len(labels):
         raise ValueError(f"--size {args.size} does not match the {len(labels)} labels in the bindings")
     missing = [name for name in free_vars(f) if name not in bindings]

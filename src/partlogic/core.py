@@ -11,7 +11,7 @@ test batteries cheap at any universe size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
 
 
@@ -205,14 +205,16 @@ class Partition:
         return p
 
     @classmethod
+    @cache
     def discrete(cls, n: int) -> "Partition":
         """The partition of all singletons, top of the refinement order."""
-        return _discrete(n)
+        return cls(n, tuple(range(n)))
 
     @classmethod
+    @cache
     def indiscrete(cls, n: int) -> "Partition":
         """The one-block partition, bottom of the refinement order."""
-        return _indiscrete(n)
+        return cls(n, (0,) * n)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
@@ -329,13 +331,3 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         for j in range(i + 1, n):
             rgs[j] = 0
             peak[j] = top
-
-
-@lru_cache(maxsize=None)
-def _discrete(n: int) -> Partition:
-    return Partition(n, tuple(range(n)))
-
-
-@lru_cache(maxsize=None)
-def _indiscrete(n: int) -> Partition:
-    return Partition(n, (0,) * n)

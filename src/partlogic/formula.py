@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import Partition, enumerate_partitions
-from .ops import AND, IMPLIES, OR, implication_blocks, join, meet, negation
+from .ops import AND, IMPLIES, OR, implication_blocks, join, meet
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -218,18 +218,7 @@ def format_formula(f: Formula) -> str:
 
 def free_vars(f: Formula) -> tuple[str, ...]:
     """Sorted, deduplicated variable names occurring in the formula."""
-    names: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Var(name):
-                names.add(name)
-            case Not(child):
-                stack.append(child)
-            case And(left, right) | Or(left, right) | Implies(left, right):
-                stack.extend((left, right))
-    return tuple(sorted(names))
+    return _compile(f)[0]
 
 
 @dataclass(frozen=True)
@@ -249,16 +238,15 @@ _PLACED = object()
 
 
 def _compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
-    """Hash-cons ``f`` into its distinct subformulas in post-order, the root last.
+    """The sorted variable names of ``f`` and its distinct subformulas in post-order.
 
     Step ``(kind, a, b)`` holds the node type and its operands'
-    positions, ``None`` where it has fewer; a ``Var`` step holds the
-    index of its name among the sorted names instead.  Keyed by these
-    alone, equal subformulas share one position without any subtree
-    being hashed, and a node object met twice is placed once.
+    positions, ``None`` for a constant; a ``Var`` step holds the index
+    of its name among the sorted names instead.  A negation ``~a``
+    compiles to its definition ``a -> 0``.  Keyed by these alone, equal
+    subformulas share one position without any subtree being hashed,
+    and a node object met twice is placed once.  The root is last.
     """
-    names = free_vars(f)
-    index = {name: i for i, name in enumerate(names)}
     steps: dict[tuple, int] = {}
     placed: dict[int, int] = {}
     # Post-order off an explicit stack: a node goes back under ``_PLACED``
@@ -269,13 +257,13 @@ def _compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
         if node is _PLACED:
             node = todo.pop()
             if isinstance(node, Not):
-                key = (Not, placed[id(node.child)], None)
+                key = (Implies, placed[id(node.child)], steps.setdefault((Const0, None, None), len(steps)))
             else:
                 key = (type(node), placed[id(node.left)], placed[id(node.right)])
         elif id(node) in placed:
             continue
         elif isinstance(node, Var):
-            key = (Var, index[node.name], None)
+            key = (Var, node.name, None)
         elif isinstance(node, (Const0, Const1)):
             key = (type(node), None, None)
         elif isinstance(node, Not):
@@ -287,7 +275,10 @@ def _compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
         else:
             raise TypeError(f"not a formula node: {node!r}")
         placed[id(node)] = steps.setdefault(key, len(steps))
-    return names, list(steps)
+    # Variable steps were keyed by name; number the names once they are sorted.
+    names = tuple(sorted(a for kind, a, _ in steps if kind is Var))
+    index = {name: i for i, name in enumerate(names)}
+    return names, [(kind, index[a], b) if kind is Var else (kind, a, b) for kind, a, b in steps]
 
 
 def _evaluate(steps: list[tuple], algebra: Mapping[type, object], values: Sequence):
@@ -300,12 +291,10 @@ def _evaluate(steps: list[tuple], algebra: Mapping[type, object], values: Sequen
     for kind, a, b in steps:
         if kind is Var:
             slots.append(values[a])
-        elif b is not None:
-            slots.append(algebra[kind](slots[a], slots[b]))
-        elif a is not None:
-            slots.append(algebra[kind](slots[a]))
-        else:
+        elif a is None:
             slots.append(algebra[kind])
+        else:
+            slots.append(algebra[kind](slots[a], slots[b]))
     return slots[-1]
 
 
@@ -318,10 +307,10 @@ def _bound_values(names: tuple[str, ...], bindings: Mapping[str, object]) -> tup
 
 def _partition_algebra(n: int) -> dict[type, object]:
     bottom, top = Partition.indiscrete(n), Partition.discrete(n)
-    return {Const0: bottom, Const1: top, Not: negation, And: meet, Or: join, Implies: implication_blocks}
+    return {Const0: bottom, Const1: top, And: meet, Or: join, Implies: implication_blocks}
 
 
-_TRUTH_VALUES = {Const0: False, Const1: True, Not: operator.not_, And: AND, Or: OR, Implies: IMPLIES}
+_TRUTH_VALUES = {Const0: False, Const1: True, And: AND, Or: OR, Implies: IMPLIES}
 
 
 def eval_partition(f: Formula, assignment: Assignment) -> Partition:
@@ -355,16 +344,15 @@ def pi_negation_transform(f: Formula, pi_name: str) -> Formula:
     """Relativize every variable to a fresh partition variable.
 
     Each variable ``v`` becomes ``v -> pi_name``, the bottom constant
-    becomes ``pi_name``, negations desugar to implications into the
-    bottom first, and everything else is untouched.  ``pi_name`` must
-    not already occur in the formula.
+    becomes ``pi_name``, so a negation, compiled as implication into the
+    bottom, becomes implication into ``pi_name``; everything else is
+    untouched.  ``pi_name`` must not already occur in the formula.
     """
     pi = Var(pi_name)
     names, steps = _compile(f)
     if pi_name in names:
         raise ValueError(f"variable {pi_name!r} already occurs in the formula")
-    relativized = {Const0: pi, Const1: Const1(), Not: lambda child: Implies(child, pi),
-                   And: And, Or: Or, Implies: Implies}
+    relativized = {Const0: pi, Const1: Const1(), And: And, Or: Or, Implies: Implies}
     return _evaluate(steps, relativized, [Implies(Var(name), pi) for name in names])
 
 
@@ -418,10 +406,8 @@ class _Level:
         return Partition._canonical(self.n, tuple(rgs))
 
     def apply(self, kind: type, i: int, j: int) -> int:
-        """The index of connective ``kind`` on indices ``i`` and ``j``; ``Not`` reads ``i`` only."""
-        p = self.partition(i)
-        result = self.algebra[kind](p) if kind is Not else self.algebra[kind](p, self.partition(j))
-        return _rank(self.tails, result.rgs)
+        """The index of connective ``kind`` on indices ``i`` and ``j``."""
+        return _rank(self.tails, self.algebra[kind](self.partition(i), self.partition(j)).rgs)
 
     @functools.cached_property
     def shapes(self) -> list[int]:
@@ -488,8 +474,7 @@ def _schedule(steps: list[tuple], k: int) -> tuple[list[int], list[list[tuple]]]
     A step's depth is the index of the last-bound variable it depends
     on, -1 when it depends on none; the first sorted name is the
     outermost loop.  Returns the slot of each variable's step and, at
-    ``runs[d + 1]``, the steps of depth ``d`` as ``(slot, kind, a, b)``;
-    a negation repeats its operand as ``b``.
+    ``runs[d + 1]``, the steps of depth ``d`` as ``(slot, kind, a, b)``.
     """
     depths: list[int] = []
     var_slots = [0] * k
@@ -501,7 +486,6 @@ def _schedule(steps: list[tuple], k: int) -> tuple[list[int], list[list[tuple]]]
         elif a is None:
             depth = -1
         else:
-            b = a if b is None else b
             depth = max(depths[a], depths[b])
             runs[depth + 1].append((slot, kind, a, b))
         depths.append(depth)

@@ -9,6 +9,7 @@ element, elements ascending, no whitespace.
 
 from __future__ import annotations
 
+import re
 import string
 
 from .core import Partition
@@ -50,55 +51,34 @@ def parse_partition(text: str) -> tuple[Partition, tuple[str, ...]]:
     return p, tuple(labels)
 
 
+# After any whitespace: a brace, a comma, a label, or the end of the text ("").
+_BLOCK_TOKEN_RE = re.compile(r"\s*([{},]|[^{},\s]+|\Z)")
+# For each state of the block-form reader, the state each token it accepts
+# leads to ("label" stands for any label), and the message for any other.
+_BLOCK_STATES = {
+    "start": ({"{": "block"}, "expected '{'"),
+    "block": ({"{": "label"}, "expected '{'"),
+    "label": ({"label": "in block"}, "expected a label"),
+    "in block": ({",": "label", "}": "after block"}, "expected '}'"),
+    "after block": ({",": "block", "}": "end"}, "expected '}'"),
+    "end": ({"": "end"}, "trailing input"),
+}
+
+
 def _parse_blocks(s: str) -> list[list[str]]:
-    def fail(message: str, position: int):
-        raise ValueError(f"{message} (at position {position}) in partition literal")
-
-    i = 0
-
-    def skip_space():
-        nonlocal i
-        while i < len(s) and s[i].isspace():
-            i += 1
-
-    def expect(ch: str):
-        nonlocal i
-        skip_space()
-        if i >= len(s) or s[i] != ch:
-            fail(f"expected {ch!r}", i)
-        i += 1
-
-    def label() -> str:
-        nonlocal i
-        skip_space()
-        start = i
-        while i < len(s) and s[i] not in "{}," and not s[i].isspace():
-            i += 1
-        if i == start:
-            fail("expected a label", i)
-        return s[start:i]
-
     blocks: list[list[str]] = []
-    expect("{")
-    while True:
-        expect("{")
-        block = [label()]
-        skip_space()
-        while i < len(s) and s[i] == ",":
-            i += 1
-            block.append(label())
-            skip_space()
-        expect("}")
-        blocks.append(block)
-        skip_space()
-        if i < len(s) and s[i] == ",":
-            i += 1
-            continue
-        break
-    expect("}")
-    skip_space()
-    if i != len(s):
-        fail("trailing input", i)
+    state = "start"
+    for m in _BLOCK_TOKEN_RE.finditer(s):
+        token = m.group(1)
+        kind = token if token in ("{", "}", ",", "") else "label"
+        moves, message = _BLOCK_STATES[state]
+        if kind not in moves:
+            raise ValueError(f"{message} (at position {m.start(1)}) in partition literal")
+        if kind == "label":
+            blocks[-1].append(token)
+        elif state == "block":
+            blocks.append([])
+        state = moves[kind]
     return blocks
 
 

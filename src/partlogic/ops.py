@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable
 
 from .core import BinaryRelation, Partition, _component_labels, _diagonal_bits, _label_masks, _require_same_universe, enumerate_partitions
 
@@ -30,10 +29,6 @@ class BoolOp2:
     def __post_init__(self):
         if len(self.table) != 4 or not all(isinstance(v, bool) for v in self.table):
             raise ValueError("truth table needs exactly four boolean entries")
-
-    @classmethod
-    def from_function(cls, fn: Callable[[bool, bool], bool]) -> "BoolOp2":
-        return cls((fn(False, False), fn(False, True), fn(True, False), fn(True, True)))
 
     def __call__(self, left: bool, right: bool) -> bool:
         return self.table[2 * left + right]

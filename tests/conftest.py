@@ -364,9 +364,23 @@ def _format(f: Formula, minimum: int) -> str:
     return f"({text})" if precedence < minimum else text
 
 
+def _oracle_names(f: Formula) -> set[str]:
+    match f:
+        case Var(name):
+            return {name}
+        case Not(child):
+            return _oracle_names(child)
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return _oracle_names(left) | _oracle_names(right)
+    return set()
+
+
 def oracle_compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
-    """Hash-cons ``f`` into post-order steps by recursion, left operand first."""
-    names = free_vars(f)
+    """Hash-cons ``f`` into post-order steps by recursion, left operand first.
+
+    Names are gathered by a walk of their own; ``~a`` is placed as ``a -> 0``.
+    """
+    names = tuple(sorted(_oracle_names(f)))
     index = {name: i for i, name in enumerate(names)}
     steps: dict[tuple, int] = {}
     placed: dict[int, int] = {}
@@ -379,7 +393,7 @@ def oracle_compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
                 case Const0() | Const1():
                     key = (type(node), None, None)
                 case Not(child):
-                    key = (Not, place(child), None)
+                    key = (Implies, place(child), steps.setdefault((Const0, None, None), len(steps)))
                 case And(left, right) | Or(left, right) | Implies(left, right):
                     key = (type(node), place(left), place(right))
                 case _:

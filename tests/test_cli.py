@@ -158,6 +158,12 @@ class TestEval:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: --size")
 
+    def test_literal_size_bound(self, capsys):
+        literal = "rgs:" + ",".join(map(str, range(MAX_EVAL_SIZE + 1)))
+        code, out, err = run(capsys, "eval", "s /\\ s", f"s={literal}")
+        assert (code, out) == (2, "")
+        assert err == f"error: the bindings have {MAX_EVAL_SIZE + 1} elements, past the bound {MAX_EVAL_SIZE}\n"
+
     def test_deep_parentheses_get_a_value(self, capsys):
         depth = 10**5
         assert run(capsys, "eval", "(" * depth + "s" + ")" * depth, "s={{a}}") == (0, "{{a}}\n", "")

@@ -175,7 +175,13 @@ class TestParser:
         f = parse("~" * depth + "(" * depth + "s -> " * depth + "s" + ")" * depth)
         assert format_formula(f) == "~" * depth + "(" + "s -> " * depth + "s)"
         names, steps = formula._compile(f)
-        assert names == ("s",) and len(steps) == 2 * depth + 1
+        # s, the depth implications, one 0 step, and each ~ as an implication into 0
+        assert names == ("s",) and len(steps) == 2 * depth + 2
+
+    @given(formulas)
+    def test_compiles_to_binary_connectives(self, f):
+        _, steps = formula._compile(f)
+        assert {kind for kind, _, _ in steps} <= {Var, Const0, Const1, And, Or, Implies}
 
     def test_printing_examples(self):
         assert format_formula(parse("a -> b -> c")) == "a -> b -> c"
@@ -189,6 +195,10 @@ class TestFreeVars:
         assert free_vars(parse("s -> p")) == ("p", "s")
         assert free_vars(parse("0 \\/ 1")) == ()
         assert free_vars(pi_negation_transform(parse("s -> 0"), "z")) == ("s", "z")
+
+    def test_rejects_a_node_that_is_no_formula(self):
+        with pytest.raises(TypeError, match="not a formula node"):
+            free_vars(And(Var("s"), object()))
 
 
 class TestEvaluation:
@@ -383,6 +393,13 @@ class TestRefuter:
         chain = parse(" -> ".join(["s"] * 10**4))
         assert find_partition_counterexample(chain) is None
         assert calls[0] <= 100
+
+    def test_negation_shares_the_memo_of_implication_into_0(self, monkeypatch, cold_levels):
+        calls = self._count_implications(monkeypatch)
+        assert find_partition_counterexample(parse("~s \\/ s"), max_n=4) is not None
+        before = calls[0]
+        assert find_partition_counterexample(parse("(s -> 0) \\/ s"), max_n=4) is not None
+        assert calls[0] == before
 
     def test_a_warm_level_computes_nothing_twice(self, monkeypatch, cold_levels):
         calls = self._count_implications(monkeypatch)

@@ -48,6 +48,21 @@ class TestParse:
         with pytest.raises(ValueError, match=message):
             parse_partition(text)
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("{a,b}", "expected '{'", 1),
+            ("{{a},{}}", "expected a label", 6),
+            ("{{a},{b}} junk", "trailing input", 10),
+            ("{{a}", "expected '}'", 4),
+            ("", "expected '{'", 0),
+        ],
+    )
+    def test_error_positions(self, text, message, position):
+        with pytest.raises(ValueError) as err:
+            parse_partition(text)
+        assert str(err.value) == f"{message} (at position {position}) in partition literal"
+
 
 class TestFormat:
     def test_block_form_is_bit_exact(self):

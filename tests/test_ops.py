@@ -183,7 +183,7 @@ class TestGraphMethod:
     def test_left_operand_feeds_first_argument(self):
         # projection onto the left operand: true exactly on the left dits,
         # so the retained links are the left partition's indits
-        left_projection = BoolOp2.from_function(lambda a, b: a)
+        left_projection = BoolOp2((False, False, True, True))
         for n in range(2, 5):
             parts = all_parts(n)
             for p in parts:
