@@ -22,9 +22,7 @@ from .formula import (
     eval_partition,
     find_partition_counterexample,
     format_formula,
-    free_vars,
     parse,
-    _require_tautology_width,
 )
 from .literals import default_labels, format_partition, format_rgs, parse_partition
 from .ops import implication_blocks, join, meet
@@ -57,7 +55,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise ValueError("--budget must be positive")
     f = _parse_formula(args.formula)
-    _require_tautology_width(free_vars(f))
     try:
         cex = find_partition_counterexample(f, max_n=args.max_size, budget=args.budget)
     except SearchBudgetExceeded as exc:
@@ -99,6 +96,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         name, eq, literal = item.partition("=")
         if not eq or not name:
             raise ValueError(f"binding {item!r} is not of the form name=partition")
+        if name in bindings:
+            raise ValueError(f"variable {name!r} is bound twice")
         try:
             p, p_labels = parse_partition(literal)
         except ValueError as exc:
@@ -116,9 +115,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"the bindings have {len(labels)} elements, past the bound {MAX_EVAL_SIZE}")
     elif args.size is not None and args.size != len(labels):
         raise ValueError(f"--size {args.size} does not match the {len(labels)} labels in the bindings")
-    missing = [name for name in free_vars(f) if name not in bindings]
-    if missing:
-        raise ValueError(f"unbound variables: {', '.join(missing)}")
     result = eval_partition(f, Assignment(len(labels), bindings))
     text = format_partition(result, labels)
     if args.format == "json":
@@ -304,8 +300,6 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        if getattr(args, "n", 1) < 1:
-            raise ValueError("universe size must be at least 1")
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -301,8 +301,9 @@ def _evaluate(steps: list[tuple], algebra: Mapping[type, object], values: Sequen
 def _bound_values(names: tuple[str, ...], bindings: Mapping[str, object]) -> tuple:
     try:
         return tuple(bindings[name] for name in names)
-    except KeyError as exc:
-        raise ValueError(f"unbound variable {exc.args[0]!r}") from None
+    except KeyError:
+        missing = [repr(name) for name in names if name not in bindings]
+        raise ValueError(f"unbound variable{'s' * (len(missing) > 1)} {', '.join(missing)}") from None
 
 
 def _partition_algebra(n: int) -> dict[type, object]:
@@ -325,18 +326,14 @@ def eval_boolean(f: Formula, bits: Mapping[str, bool]) -> bool:
     return _evaluate(steps, _TRUTH_VALUES, _bound_values(names, bits))
 
 
-def _require_tautology_width(names: Sequence[str]) -> None:
-    if len(names) > MAX_TAUTOLOGY_VARS:
-        raise ValueError(f"formula has {len(names)} variables, past the bound {MAX_TAUTOLOGY_VARS}")
-
-
 def is_subset_tautology(f: Formula) -> bool:
     """True when the formula holds under every classical truth assignment.
 
     The refuter's n=2 level is the truth table: the indiscrete and
-    discrete partitions of a 2-set are False and True.
+    discrete partitions of a 2-set are False and True.  Raises
+    ``ValueError`` for a formula of more than ``MAX_TAUTOLOGY_VARS``
+    variables, as :func:`find_partition_counterexample` does.
     """
-    _require_tautology_width(free_vars(f))
     return find_partition_counterexample(f, max_n=2) is None
 
 
@@ -563,6 +560,8 @@ def find_partition_counterexample(
     one as False precedes True, so that level is the truth table.  A
     closed formula stops there: the two constants form the same
     two-element Boolean algebra at every larger size.  Raises
+    ``ValueError`` for a formula of more than ``MAX_TAUTOLOGY_VARS``
+    variables before scanning anything, and
     :class:`SearchBudgetExceeded` before scanning any level whose
     assignment count passes ``budget``.  Each size's ``_Level`` is built
     once per process and kept: partitions are addressed by index, its
@@ -573,6 +572,8 @@ def find_partition_counterexample(
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     names, steps = _compile(f)
+    if len(names) > MAX_TAUTOLOGY_VARS:
+        raise ValueError(f"formula has {len(names)} variables, past the bound {MAX_TAUTOLOGY_VARS}")
     var_slots, runs = _schedule(steps, len(names))
     for n in range(2, (max_n if names else 2) + 1):
         level = _level(n)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import functools
 import io
@@ -172,6 +173,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "s -> p", "s={{a},{b}}")
         assert code == 2
         assert "unbound" in err
+        code, _, err = run(capsys, "eval", "s -> p /\\ q", "s={{a},{b}}")
+        assert (code, err) == (2, "error: unbound variables 'p', 'q'\n")
+
+    def test_name_bound_twice(self, capsys):
+        code, out, err = run(capsys, "eval", "s", "s={{a},{b}}", "s={{a,b}}")
+        assert (code, out, err) == (2, "", "error: variable 's' is bound twice\n")
 
     def test_inconsistent_labels(self, capsys):
         code, _, err = run(capsys, "eval", "s \\/ p", "s={{a},{b}}", "p={{a},{c}}")
@@ -321,6 +328,33 @@ def outcome(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["table", "join", "0"], ["table", "meet", "-3"],
+                                  ["enumerate", "-1", "--format", "dot"]])
+def test_universe_below_one_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code", [(["check", "s -> p", "--format", "json"], 1),
+                                        (["eval", "s -> p", "s={{a},{b}}", "p={{a,b}}"], 0)])
+def test_each_command_compiles_its_formula_once(capsys, monkeypatch, argv, code):
+    compile_ = partlogic.formula._compile
+    calls = []
+    monkeypatch.setattr(partlogic.formula, "_compile", lambda f: calls.append(f) or compile_(f))
+    assert (run(capsys, *argv)[0], len(calls)) == (code, 1)
+
+
+def test_cli_imports_only_public_names():
+    # The CLI stays on the package's public API, so no check is split
+    # between it and the module that owns the data.
+    tree = ast.parse(open(partlogic.cli.__file__, encoding="utf-8").read())
+    private = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("partlogic"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 class TestOneParser:

@@ -486,6 +486,13 @@ class TestRefuter:
         with pytest.raises(ValueError, match="max_n"):
             find_partition_counterexample(parse("s"), max_n=1)
 
+    def test_variable_bound(self):
+        # The refuter owns the bound: a scan of the 2**21 truth-table rows is
+        # refused before it starts.
+        wide = parse(" \\/ ".join(f"v{i}" for i in range(21)))
+        with pytest.raises(ValueError, match="formula has 21 variables, past the bound 20"):
+            find_partition_counterexample(wide, max_n=2)
+
     def test_partition_validity_implies_subset_validity(self):
         # every formula over two variables up to depth 3: the n=2 level
         # refutes exactly the classical non-tautologies
