@@ -248,7 +248,7 @@ class Partition:
         if not labels:
             raise ValueError("universe must contain at least one element")
         index: dict[Hashable, int] = {}
-        return cls._canonical(len(labels), tuple(index.setdefault(lab, len(index)) for lab in labels))
+        return cls._canonical(len(labels), tuple([index.setdefault(lab, len(index)) for lab in labels]))
 
     @classmethod
     def from_equivalence(cls, relation: BinaryRelation) -> "Partition":

@@ -33,13 +33,33 @@ DEFAULT_BUDGET = 10**8
 
 
 class Formula:
-    """Base class for formula nodes."""
+    """Base class for formula nodes, identified by their printed text.
+
+    ``parse`` inverts the printer, so ``==``, ``hash`` and ``repr`` go
+    through :func:`format_formula` and never recurse.
+    """
 
     def __str__(self) -> str:
         return format_formula(self)
 
+    def __eq__(self, other) -> bool:
+        return format_formula(self) == format_formula(other) if isinstance(other, Formula) else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(format_formula(self))
+
+    def __repr__(self) -> str:
+        try:
+            return f"parse({format_formula(self)!r})"
+        except TypeError:  # a malformed tree has no text
+            return object.__repr__(self)
+
+
+# Nodes keep the generated keyword __init__, __match_args__ and frozen guard.
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Var(Formula):
     name: str
 
@@ -48,34 +68,34 @@ class Var(Formula):
             raise ValueError(f"invalid variable name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Const0(Formula):
     """The bottom constant: classically false, the indiscrete partition."""
 
 
-@dataclass(frozen=True)
+@_node
 class Const1(Formula):
     """The top constant: classically true, the discrete partition."""
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
@@ -203,7 +223,7 @@ def format_formula(f: Formula) -> str:
         else:
             layout = _LAYOUT.get(type(node))
             if layout is None:
-                raise TypeError(f"not a formula node: {node!r}")
+                raise TypeError(f"not a formula node: {type(node).__name__}")
             precedence, symbol, left, right = layout
             if precedence < minimum:
                 pieces.append("(")

@@ -4,8 +4,10 @@ The oracles here are deliberately independent of the package internals:
 plain set arithmetic over frozensets of pairs, brute-force enumeration
 by quotienting block labelings, formula evaluators that walk the tree
 with no compilation, and a recursive-descent parser, printer and
-compiler that the loop-driven front end must agree with exactly.  They exist so the fast implementations are
-checked against something slower and more obviously correct.
+compiler that the loop-driven front end must agree with exactly, and a
+tree reader that compares structure without the printer.  They exist so
+the fast implementations are checked against something slower and more
+obviously correct.
 """
 
 from __future__ import annotations
@@ -169,6 +171,24 @@ def oracle_interior(pairs: frozenset[tuple[int, int]], n: int) -> frozenset[tupl
 def oracle_inditset(blocks) -> frozenset[tuple[int, int]]:
     """Ordered pairs taken from one block, by double loop."""
     return frozenset((u, v) for block in blocks for u in block for v in block)
+
+
+def oracle_tree(f: Formula) -> tuple:
+    """The tree as nested tuples by node type, e.g. ``("Implies", ("Var", "s"), ("Const0",))``.
+
+    Read off the nodes alone, so structure tests do not rest on the
+    printer through which formulas compare equal.
+    """
+    match f:
+        case Var(name):
+            return ("Var", name)
+        case Const0() | Const1():
+            return (type(f).__name__,)
+        case Not(child):
+            return ("Not", oracle_tree(child))
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return (type(f).__name__, oracle_tree(left), oracle_tree(right))
+    raise TypeError(f"not a formula node: {type(f).__name__}")
 
 
 def oracle_eval_partition(f: Formula, assignment: Assignment) -> Partition:

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -189,6 +190,16 @@ class TestEval:
         code, _, err = run(capsys, "eval", "s", "s={{a},{b}}", "--size", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["s", "s"], "binding 's' is not of the form name=partition"),
+        (["s", "=x"], "binding '=x' is not of the form name=partition"),
+        (["s", "s={{a}"], "bad partition literal for 's': expected '}' (at position 4) in partition literal"),
+        (["s", "s=rgs:1"], "bad partition literal for 's': rgs is not in restricted-growth form at index 0"),
+        (["0"], "a formula without bindings needs --size"),
+    ])
+    def test_malformed_arguments(self, capsys, argv, message):
+        assert run(capsys, "eval", *argv) == (2, "", f"error: {message}\n")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "eval", "s", "s={{a,b}}", "--format", "json")
         assert code == 0
@@ -350,7 +361,7 @@ def test_each_command_compiles_its_formula_once(capsys, monkeypatch, argv, code)
 def test_cli_imports_only_public_names():
     # The CLI stays on the package's public API, so no check is split
     # between it and the module that owns the data.
-    tree = ast.parse(open(partlogic.cli.__file__, encoding="utf-8").read())
+    tree = ast.parse(pathlib.Path(partlogic.cli.__file__).read_text(encoding="utf-8"))
     private = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                and (node.level or (node.module or "").startswith("partlogic"))
                for alias in node.names if alias.name.startswith("_")]

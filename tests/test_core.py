@@ -123,6 +123,21 @@ class TestRelations:
         with pytest.raises(ValueError, match="out of range"):
             relation_from_pairs([(0, 3)], 3)
 
+    def test_relation_validation(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError) as err:
+                BinaryRelation(n, 0)
+            assert str(err.value) == "universe must contain at least one element"
+        for bits in (-1, 1 << 4, 1 << 9):
+            with pytest.raises(ValueError) as err:
+                BinaryRelation(2, bits)
+            assert str(err.value) == "relation contains a pair outside the universe"
+
+    def test_pairs_outside_the_universe_are_not_members(self):
+        full = universal_relation(2)
+        assert (1, 1) in full
+        assert all(pair not in full for pair in [(0, 2), (2, 0), (-1, 0), (0, -1), (5, 5)])
+
     def test_set_algebra(self):
         a = relation_from_pairs([(0, 1), (1, 2)], 3)
         b = relation_from_pairs([(1, 2), (2, 2)], 3)

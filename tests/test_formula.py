@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ from partlogic import (
     Assignment,
     Const0,
     Const1,
+    Formula,
     Implies,
     Not,
     Or,
@@ -38,6 +40,7 @@ from conftest import (
     oracle_format,
     oracle_is_tautology,
     oracle_parse,
+    oracle_tree,
     partitions_of,
 )
 
@@ -90,12 +93,47 @@ formula_texts = st.lists(
 
 
 def parsed(parser, printer, text):
-    """The formula and its printed text, or the error message and position."""
+    """The formula's tree and its printed text, or the error message and position."""
     try:
         f = parser(text)
     except ParseError as err:
         return str(err), err.position
-    return f, printer(f)
+    return oracle_tree(f), printer(f)
+
+
+def one_node_mutations(f: Formula) -> list[Formula]:
+    """Every formula made from ``f`` by changing it at one node.
+
+    A node changes kind (``~a`` becomes ``a -> 0``), swaps or loses an
+    operand, gains a ``~``, or is regrouped with a left or right operand
+    of the same connective, so a printer that lost a needed parenthesis
+    would print some mutation as ``f``.
+    """
+    match f:
+        case Var(name):
+            return [Var("q" if name == "s" else "s"), Const0()]
+        case Const0():
+            return [Const1(), Var("s")]
+        case Const1():
+            return [Const0()]
+        case Not(child):
+            return [child, Implies(child, Const0()), Not(f)] + [Not(g) for g in one_node_mutations(child)]
+    op, left, right = type(f), f.left, f.right
+    out = [other(left, right) for other in (And, Or, Implies) if other is not op]
+    out += [op(right, left), left, Not(f)]
+    if type(left) is op:
+        out.append(op(left.left, op(left.right, right)))
+    if type(right) is op:
+        out.append(op(op(left, right.left), right.right))
+    return out + [op(g, right) for g in one_node_mutations(left)] + [op(left, g) for g in one_node_mutations(right)]
+
+
+@st.composite
+def formula_pairs(draw):
+    """A formula and either another one, its round trip, or a one-node mutation of it."""
+    f = draw(formulas)
+    return f, draw(st.one_of(formulas, st.just(parse(format_formula(f))),
+                             st.sampled_from(one_node_mutations(f))))
 
 
 class TestParser:
@@ -158,7 +196,7 @@ class TestParser:
 
     @given(formulas)
     def test_print_parse_round_trip(self, f):
-        assert parse(format_formula(f)) == f
+        assert oracle_tree(parse(format_formula(f))) == oracle_tree(f)
 
     @settings(max_examples=300)
     @given(formula_texts)
@@ -188,6 +226,91 @@ class TestParser:
         assert format_formula(parse("(a -> b) -> c")) == "(a -> b) -> c"
         assert format_formula(parse("~(a /\\ b)")) == "~(a /\\ b)"
         assert str(parse("a|b&c")) == "a \\/ b /\\ c"
+
+    @pytest.mark.parametrize("node,name", [(And(Var("s"), 3), "int"), (Formula(), "Formula")])
+    def test_printing_a_node_that_is_no_formula(self, node, name):
+        with pytest.raises(TypeError) as err:
+            format_formula(node)
+        assert str(err.value) == f"not a formula node: {name}"
+
+
+# ``~`` chain, ``->`` chain and ``/\`` chain, each 10^4 connectives deep.
+DEEP_TEXTS = ["~" * 10**4 + "s", " -> ".join(["s"] * (10**4 + 1)), " /\\ ".join(["s"] * (10**4 + 1))]
+
+
+class TestIdentity:
+    def test_one_identity_on_the_base_class(self):
+        for node in (Var, Const0, Const1, Not, And, Or, Implies):
+            assert (node.__eq__, node.__hash__, node.__repr__) == (
+                Formula.__eq__, Formula.__hash__, Formula.__repr__)
+
+    @settings(max_examples=300)
+    @given(formula_pairs())
+    def test_equal_exactly_when_the_trees_are(self, pair):
+        f, g = pair
+        assert (f == g) == (oracle_tree(f) == oracle_tree(g))
+        assert (f != g) == (not f == g)
+        if f == g:
+            assert hash(f) == hash(g)
+
+    def test_distinct_trees_differ(self):
+        a, b, c = Var("a"), Var("b"), Var("c")
+        pairs = [
+            (parse("~s"), parse("s -> 0")),
+            (And(a, b), Or(a, b)),
+            (parse("(a /\\ b) /\\ c"), parse("a /\\ (b /\\ c)")),
+            (And(And(a, b), c), And(a, And(b, c))),
+            (Implies(Implies(a, b), c), Implies(a, Implies(b, c))),
+        ]
+        for f, g in pairs:
+            assert f != g and not f == g
+            assert len({f, g, parse(str(f)), parse(str(g))}) == 2
+
+    def test_compares_unequal_to_other_types(self):
+        assert Var("s") != "s" and not Var("s") == "s"
+        assert parse("s -> p") != ("Implies", "s", "p")
+
+    @given(formulas)
+    def test_repr_evaluates_back(self, f):
+        g = eval(repr(f), {"parse": parse})
+        assert g == f and oracle_tree(g) == oracle_tree(f)
+
+    def test_repr_examples(self):
+        assert repr(Var("s")) == "parse('s')"
+        assert repr(parse("~(a /\\ b) -> 0")) == "parse('~(a /\\\\ b) -> 0')"
+
+    @pytest.mark.parametrize("text", DEEP_TEXTS, ids=["not", "implies", "and"])
+    def test_deep_chains(self, text):
+        f, g = parse(text), parse(text)
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert f != parse(text[:-1] + "p")
+        assert eval(repr(f), {"parse": parse}) == f
+
+    def test_repr_of_a_node_that_is_no_formula_returns(self):
+        assert repr(Formula()).startswith("<partlogic.formula.Formula object at ")
+        assert repr(And(Var("s"), 3)).startswith("<partlogic.formula.And object at ")
+
+    def test_comparing_a_malformed_tree_raises(self):
+        with pytest.raises(TypeError, match="^not a formula node: int$"):
+            And(Var("s"), 3) == And(Var("s"), 3)
+        with pytest.raises(TypeError, match="^not a formula node: int$"):
+            hash(Not(3))
+
+    def test_keyword_construction_and_class_patterns(self):
+        f = And(left=Var(name="s"), right=Implies(left=Const0(), right=Const1()))
+        assert f == parse("s /\\ (0 -> 1)")
+        match f:
+            case And(Var(name), Implies(Const0(), Const1())):
+                assert name == "s"
+            case _:
+                pytest.fail("class patterns no longer match")
+
+    def test_nodes_are_frozen(self):
+        f = parse("s -> p")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.left = Var("q")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Var("s").name = "p"
 
 
 class TestFreeVars:
