@@ -30,7 +30,6 @@ from .formula import (
     ParseError,
     SearchBudgetExceeded,
     Var,
-    eval_boolean,
     eval_partition,
     find_partition_counterexample,
     format_formula,
@@ -90,7 +89,6 @@ __all__ = [
     "default_labels",
     "double_pi_negation",
     "enumerate_partitions",
-    "eval_boolean",
     "eval_partition",
     "excluded_middle_partition",
     "find_partition_counterexample",

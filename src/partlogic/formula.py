@@ -1,10 +1,11 @@
 """Formula language over partitions.
 
 The connectives are disjunction, conjunction, implication, and a
-negation that both semantics read as implication into the bottom
-constant.  A formula can be evaluated classically (variables range over
-the two truth values) or over partitions of a universe (variables range
-over partitions, constants are the indiscrete and discrete partitions).
+negation read as implication into the bottom constant.  A formula is
+evaluated over partitions of a universe: variables range over
+partitions, constants are the indiscrete and discrete partitions.  On a
+2-set those two partitions are the truth values, so classical validity
+is the refuter's n=2 level.
 
 Validity over partitions has no known finite-universe decision bound, so
 the engine here is a refuter plus bounded verifier: it either produces a
@@ -20,10 +21,10 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import Partition, enumerate_partitions
-from .ops import AND, IMPLIES, OR, implication_blocks, join, meet
+from .ops import _discretize, implication_blocks, join, meet
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -331,19 +332,10 @@ def _partition_algebra(n: int) -> dict[type, object]:
     return {Const0: bottom, Const1: top, And: meet, Or: join, Implies: implication_blocks}
 
 
-_TRUTH_VALUES = {Const0: False, Const1: True, And: AND, Or: OR, Implies: IMPLIES}
-
-
 def eval_partition(f: Formula, assignment: Assignment) -> Partition:
     """Evaluate over partitions; negation is implication into the indiscrete partition."""
     names, steps = _compile(f)
     return _evaluate(steps, _partition_algebra(assignment.n), _bound_values(names, assignment.bindings))
-
-
-def eval_boolean(f: Formula, bits: Mapping[str, bool]) -> bool:
-    """Classical truth-table evaluation; implication is the material conditional."""
-    names, steps = _compile(f)
-    return _evaluate(steps, _TRUTH_VALUES, _bound_values(names, bits))
 
 
 def is_subset_tautology(f: Formula) -> bool:
@@ -392,8 +384,9 @@ class _Level:
     serves every formula at its size (see ``_level``), so it keeps what
     depends only on n: the block shapes, the relabelling rows, built on
     first need, and ``memo``, from ``(kind, i, j)`` to the index of that
-    connective on those indices.  The memo holds at most ``_MEMO_LIMIT``
-    entries; a full memo is cleared.
+    connective on those indices and from ``("core", i)`` to
+    ``preimages(i)``.  The memo holds at most ``_MEMO_LIMIT`` entries; a
+    full memo is cleared.
     """
 
     def __init__(self, n: int):
@@ -425,6 +418,21 @@ class _Level:
     def apply(self, kind: type, i: int, j: int) -> int:
         """The index of connective ``kind`` on indices ``i`` and ``j``."""
         return _rank(self.tails, self.algebra[kind](self.partition(i), self.partition(j)).rgs)
+
+    def preimages(self, index: int) -> list[int]:
+        """One ``x`` for each value ``x -> z`` takes, ``z`` the partition at ``index``.
+
+        By the block rule ``x -> z`` dissolves the blocks of ``z`` inside
+        a block of ``x`` and keeps the others whole, so its values are
+        the Boolean core of ``z``: one member per set D of non-singleton
+        blocks dissolved.  The ``x`` that keeps the blocks of D whole and
+        makes every other element a singleton gives that member, so the
+        core itself is a set of preimages.
+        """
+        z = self.partition(index)
+        shared = {b for b in z.rgs if z.rgs.count(b) > 1}
+        return [_rank(self.tails, _discretize(z, kept).rgs)
+                for size in range(len(shared) + 1) for kept in itertools.combinations(shared, size)]
 
     @functools.cached_property
     def shapes(self) -> list[int]:
@@ -485,55 +493,101 @@ def _rank(tails: list[list[int]], labels: Sequence) -> int:
     return index
 
 
-def _schedule(steps: list[tuple], k: int) -> tuple[list[int], list[list[tuple]]]:
+def _schedule(steps: list[tuple], k: int, cores: Mapping[int, int]) -> tuple[tuple, dict]:
     """Assign each connective step to the loop that must run it.
 
-    A step's depth is the index of the last-bound variable it depends
-    on, -1 when it depends on none; the first sorted name is the
-    outermost loop.  Returns the slot of each variable's step and, at
-    ``runs[d + 1]``, the steps of depth ``d`` as ``(slot, kind, a, b)``.
+    The loops bind the ``k`` variables not in ``cores`` by name, the
+    first sorted name outermost, then those in ``cores`` in its order.
+    A step's depth is the loop of the last-bound variable it depends
+    on, -1 when it depends on none.  Returns the schedule ``_scan``
+    takes and the reducible variables in the order of their ``Implies``
+    steps, each mapped to the slot of its right operand.  The schedule
+    holds the slot of each loop's variable step, each loop's source of
+    values (the slot ``cores`` maps its variable to, or ``None``) and,
+    at ``runs[d + 1]``, the steps of depth ``d`` as ``(slot, kind, a, b)``.
+
+    A variable is reducible when its one use is as the left operand of
+    an ``Implies`` step, so the formula sees ``v`` only through
+    ``v -> r``.  The same pass counts the uses of each step.  Its right
+    operand ``r`` cannot depend on ``v``: that would take a second use,
+    by a step under ``r`` or, when ``r`` is ``v``, by the same step.
     """
+    order = [v for v in range(k) if v not in cores] + list(cores)
     depths: list[int] = []
+    uses = [0] * len(steps)
+    lefts = {}
     var_slots = [0] * k
     runs: list[list[tuple]] = [[] for _ in range(k + 1)]
     for slot, (kind, a, b) in enumerate(steps):
         if kind is Var:
-            var_slots[a] = slot
-            depth = a
+            depth = order.index(a)
+            var_slots[depth] = slot
         elif a is None:
             depth = -1
         else:
             depth = max(depths[a], depths[b])
             runs[depth + 1].append((slot, kind, a, b))
+            uses[a] += 1
+            uses[b] += 1
+            if kind is Implies:
+                lefts[a] = b
         depths.append(depth)
-    return var_slots, runs
+    reducible = {steps[a][1]: b for a, b in lefts.items() if uses[a] == 1 and a in var_slots}
+    return (var_slots, list(map(cores.get, order)), runs), reducible
 
 
-def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[list[tuple]]):
-    """The least falsifying assignment on ``level`` as a tuple of indices, or ``None``.
+def _scan(level: _Level, steps: list[tuple], schedule: tuple):
+    """A falsifying assignment on ``level`` as a tuple of indices in loop order, or ``None``.
 
-    Loop ``d`` binds variable ``d`` and runs only the steps of depth
-    ``d``.  A connective on indices is computed once by
+    ``schedule`` is ``(var_slots, sources, runs)``: loop ``d`` binds the
+    variable at slot ``var_slots[d]`` and runs only the steps of depth
+    ``d``, ``runs[d + 1]``.  A connective on indices is computed once by
     ``_Level.apply`` and read from the level's memo after that, in this
     scan and in every later one at the same size.
 
-    Values are pruned by relabelling: a permutation ``g`` maps
-    counterexamples to counterexamples, so the least one ``c`` satisfies
-    ``c <= g.c``.  When ``g`` fixes the bound prefix this forces
-    ``c[d] <= g.c[d]``, so a value that some such ``g`` maps lower is
-    skipped, and the first hit is still ``c``.  The first variable,
-    with nothing bound, takes only the block shapes, the least of each
-    orbit; a deeper one is tested against the ``_Level.swaps`` that fix
-    every bound value.
+    ``sources[d]`` says where loop ``d`` takes its values.  ``None``
+    prunes them by relabelling: a permutation ``g`` maps
+    counterexamples to counterexamples, so the least one ``c``
+    satisfies ``c <= g.c``.  When ``g`` fixes the bound prefix this
+    forces ``c[d] <= g.c[d]``, so a value that some such ``g`` maps
+    lower is skipped, and the first hit is still ``c``, the least
+    counterexample in loop order.  The first variable, with nothing
+    bound, takes only the block shapes, the least of each orbit; a
+    deeper one is tested against the ``_Level.swaps`` that fix every
+    bound value.
+
+    A slot ``r`` instead scans a reducible variable ``v`` over the
+    Boolean core of the value of ``r``: it takes ``_Level.preimages`` of
+    that value, kept in the memo, one real partition for each value
+    ``v -> r`` can take.  The formula sees ``v`` only through that
+    implication, so this loop decides whether a counterexample extends
+    the bound prefix, though not which one is least.  Such loops come
+    after every loop that prunes by relabelling, and the projection of
+    the counterexamples to those loops is closed under relabelling too.
     """
+    var_slots, sources, runs = schedule
     size, k, memo = level.size, len(var_slots), level.memo
     top = size - 1
     # The indiscrete partition is index 0 and the discrete one is ``top``.
     slots = [top if kind is Const1 else 0 for kind, _, _ in steps]
     values = [0] * k
 
-    def descend(depth: int, candidates: Iterable[int], swaps: list[array]) -> bool:
-        slot, todo, last = var_slots[depth], runs[depth + 1], depth == k - 1
+    def descend(depth: int, swaps: list[array]) -> bool:
+        slot, todo, last, source = var_slots[depth], runs[depth + 1], depth == k - 1, sources[depth]
+        if source is not None:
+            key = ("core", slots[source])
+            candidates = memo.get(key)
+            if candidates is None:
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                candidates = memo[key] = level.preimages(key[1])
+        elif depth:
+            bound = values[depth - 1]
+            swaps = [row for row in swaps if row[bound] == bound]
+            lows = map(min, range(size), *swaps) if swaps else range(size)
+            candidates = itertools.compress(range(size), map(operator.eq, lows, itertools.count()))
+        else:
+            candidates = level.shapes
         for v in candidates:
             slots[slot] = values[depth] = v
             for out, kind, a, b in todo:
@@ -547,11 +601,7 @@ def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[li
             if last:
                 if slots[-1] != top:
                     return True
-                continue
-            fixing = [row for row in swaps if row[v] == v]
-            lows = map(min, range(size), *fixing) if fixing else range(size)
-            least = itertools.compress(range(size), map(operator.eq, lows, itertools.count()))
-            if descend(depth + 1, least, fixing):
+            elif descend(depth + 1, swaps):
                 return True
         return False
 
@@ -559,7 +609,7 @@ def _scan(level: _Level, steps: list[tuple], var_slots: list[int], runs: list[li
         slots[out] = level.apply(kind, slots[a], slots[b])
     if not k:
         return () if slots[-1] != top else None
-    return tuple(values) if descend(0, level.shapes, level.swaps if k > 1 else []) else None
+    return tuple(values) if descend(0, level.swaps if None in sources[1:] else []) else None
 
 
 def find_partition_counterexample(
@@ -575,34 +625,54 @@ def find_partition_counterexample(
     runs.  ``None`` means no counterexample up to ``max_n``, which is a
     bounded verdict, not a validity proof.
 
-    The formula is compiled once and every level, n=2 included, runs
-    the same scan: at n=2 the indiscrete partition precedes the discrete
-    one as False precedes True, so that level is the truth table.  A
-    closed formula stops there: the two constants form the same
-    two-element Boolean algebra at every larger size.  Raises
-    ``ValueError`` for a formula of more than ``MAX_TAUTOLOGY_VARS``
-    variables before scanning anything, and
+    The formula is compiled once and every level, n=2 included, can run
+    the same scan in name order: at n=2 the indiscrete partition
+    precedes the discrete one as False precedes True, so that level is
+    the truth table.  A closed formula stops there: the two constants
+    form the same two-element Boolean algebra at every larger size.
+
+    From n=3 a formula with a reducible variable (see ``_schedule``),
+    such as each ``v`` of a relativized ``v -> z`` or one that occurs
+    only negated, is first decided by a core-image scan.  The other
+    variables are bound first, by name; then each reducible ``v`` after
+    the variables of its right operand ``r``, over one preimage per
+    member of the Boolean core of ``r``'s value (2**b members for b
+    non-singleton blocks, against Bell(n) partitions).  Only on the
+    level where that scan finds a hit does the name-order scan run, and
+    it returns the lex-least counterexample; a tautology never pays for
+    it.
+
+    Raises ``ValueError`` for a formula of more than
+    ``MAX_TAUTOLOGY_VARS`` variables before scanning anything, and
     :class:`SearchBudgetExceeded` before scanning any level whose
     assignment count passes ``budget``.  Each size's ``_Level`` is built
     once per process and kept: partitions are addressed by index, its
     memo is bounded by ``_MEMO_LIMIT``, and its ``3*n*n/4`` or so
-    relabelling rows are built on the first formula of two or more
-    variables, where Bell(n)**2 <= ``budget`` bounds them.
+    relabelling rows are built on the first scan that prunes two or
+    more variables by relabelling, where Bell(n)**2 <= ``budget`` bounds
+    them.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     names, steps = _compile(f)
-    if len(names) > MAX_TAUTOLOGY_VARS:
-        raise ValueError(f"formula has {len(names)} variables, past the bound {MAX_TAUTOLOGY_VARS}")
-    var_slots, runs = _schedule(steps, len(names))
+    k = len(names)
+    if k > MAX_TAUTOLOGY_VARS:
+        raise ValueError(f"formula has {k} variables, past the bound {MAX_TAUTOLOGY_VARS}")
+    by_name, reducible = _schedule(steps, k, {})
+    by_core = None
     for n in range(2, (max_n if names else 2) + 1):
         level = _level(n)
-        count = level.size ** len(names)
+        count = level.size ** k
         if count > budget:
             raise SearchBudgetExceeded(
                 f"level n={n} needs {count} assignments, past the budget {budget}"
             )
-        hit = _scan(level, steps, var_slots, runs)
+        if n > 2 and reducible:
+            if by_core is None:
+                by_core, _ = _schedule(steps, k, reducible)
+            if _scan(level, steps, by_core) is None:
+                continue
+        hit = _scan(level, steps, by_name)
         if hit is not None:
             return Assignment(n, {name: level.partition(i) for name, i in zip(names, hit)})
     return None

@@ -20,12 +20,13 @@ from partlogic import (
     Partition,
     SearchBudgetExceeded,
     Var,
-    eval_boolean,
+    boolean_core,
     eval_partition,
     find_partition_counterexample,
     enumerate_partitions,
     format_formula,
     free_vars,
+    implication_blocks,
     is_subset_tautology,
     parse,
     pi_negation_transform,
@@ -126,6 +127,23 @@ def one_node_mutations(f: Formula) -> list[Formula]:
     if type(right) is op:
         out.append(op(op(left, right.left), right.right))
     return out + [op(g, right) for g in one_node_mutations(left)] + [op(left, g) for g in one_node_mutations(right)]
+
+
+def grow(rng: random.Random, leaves: int, atoms: list[Formula]) -> Formula:
+    """A seeded random formula of ``leaves`` atoms drawn from ``atoms``."""
+    if leaves == 1:
+        return rng.choice(atoms)
+    if rng.random() < 0.2:
+        return Not(grow(rng, leaves - 1, atoms))
+    split = rng.randint(1, leaves - 1)
+    return rng.choice([And, Or, Implies])(grow(rng, split, atoms), grow(rng, leaves - split, atoms))
+
+
+ATOMS = [Const0(), Const1(), Var("s"), Var("p"), Var("q")]
+Z = Var("z")
+# Classical tautologies that fail over partitions, first at n=3, 4 and 4,
+# where the core-image scan finds the hit and the name-order scan reruns.
+REDUCIBLE_FAILURES = ["(s -> z) \\/ ~z", "(z -> s) \\/ (p -> z) \\/ (s -> z)", "(s -> p) \\/ (p -> s) \\/ ~q"]
 
 
 @st.composite
@@ -346,19 +364,16 @@ class TestEvaluation:
                 assert eval_partition(parse("0 \\/ p"), a) == p
 
     def test_boolean_examples(self):
-        em = parse("s \\/ ~s")
-        assert eval_boolean(em, {"s": True}) and eval_boolean(em, {"s": False})
-        assert eval_boolean(parse("s -> 0"), {"s": True}) is False
-        assert eval_boolean(parse("s -> 0"), {"s": False}) is True
+        # the n=2 level is the truth table: True is the discrete partition
+        assert is_subset_tautology(parse("s \\/ ~s"))
+        cex = find_partition_counterexample(parse("s -> 0"), max_n=2)
+        assert cex.bindings == {"s": Partition.discrete(2)}
+        assert find_partition_counterexample(parse("~(s -> 0)"), max_n=2).bindings == {"s": Partition.indiscrete(2)}
 
     def test_unbound_variables(self):
         with pytest.raises(ValueError, match="unbound variable 'p'"):
             eval_partition(parse("p"), Assignment(2, {}))
-        with pytest.raises(ValueError, match="unbound variable 'p'"):
-            eval_boolean(parse("p"), {})
         # the bottom constant decides the conjunction, but p is still unbound
-        with pytest.raises(ValueError, match="unbound variable 'p'"):
-            eval_boolean(parse("0 /\\ p"), {})
         with pytest.raises(ValueError, match="unbound variable 'p'"):
             eval_partition(parse("0 /\\ p"), Assignment(2, {}))
 
@@ -372,8 +387,6 @@ class TestEvaluation:
         names = ("s", "p", "q", "r_1")
         a = Assignment(n, {name: data.draw(partitions_of(n)) for name in names})
         assert eval_partition(f, a) == oracle_eval_partition(f, a)
-        bits = {name: data.draw(st.booleans()) for name in names}
-        assert eval_boolean(f, bits) == oracle_eval_boolean(f, bits)
 
     @given(formulas)
     def test_not_equals_implies_bottom(self, f):
@@ -387,9 +400,7 @@ class TestEvaluation:
                 for p in parts:
                     a = Assignment(n, {"s": s, "p": p, "q": s, "r_1": p})
                     assert eval_partition(negated, a) == eval_partition(desugared, a)
-        for s_bit in (False, True):
-            bits = {"s": s_bit, "p": not s_bit, "q": s_bit, "r_1": True}
-            assert eval_boolean(negated, bits) == eval_boolean(desugared, bits)
+        assert is_subset_tautology(negated) == is_subset_tautology(desugared)
 
     def test_two_element_universe_is_classical(self):
         # the two partitions of a 2-universe behave exactly like the truth values
@@ -401,7 +412,7 @@ class TestEvaluation:
             for values in itertools.product((False, True), repeat=len(names)):
                 bits = dict(zip(names, values))
                 a = Assignment(2, {k: as_partition[v] for k, v in bits.items()})
-                expected = eval_boolean(f, bits)
+                expected = oracle_eval_boolean(f, bits)
                 assert (eval_partition(f, a) == Partition.discrete(2)) == expected
 
 
@@ -578,20 +589,17 @@ class TestRefuter:
                                         {}])
     def test_bounded_tables_give_the_same_counterexample(self, monkeypatch, limits):
         rng = random.Random(7)
-
-        def grow(leaves):
-            if leaves == 1:
-                return rng.choice([Const0(), Const1(), Var("s"), Var("p"), Var("q")])
-            if rng.random() < 0.2:
-                return Not(grow(leaves - 1))
-            split = rng.randint(1, leaves - 1)
-            return rng.choice([And, Or, Implies])(grow(split), grow(leaves - split))
-
         corpus = [pi_negation_transform(parse(text), "z") for _, text in CLASSICAL_TAUTOLOGIES]
         corpus.append(parse("(s -> p) \\/ (p -> s)"))
         for i in range(50):
-            g = grow(rng.randint(2, 9))
+            g = grow(rng, rng.randint(2, 9), ATOMS)
             corpus.append(Or(g, Not(g)) if i % 2 else g)
+        # Relativized non-tautologies: those refuted past n=2 scan the core
+        # images first, so a tiny memo evicts preimage lists too.
+        corpus += [pi_negation_transform(parse(text), "z") for _, text in NON_TAUTOLOGIES]
+        corpus += [parse(text) for text in REDUCIBLE_FAILURES]
+        corpus += [Or(pi_negation_transform(grow(rng, rng.randint(2, 6), ATOMS[:4]), "z"), Not(Z))
+                   for _ in range(10)]
         expected = [find_partition_counterexample(f, max_n=4) for f in corpus]
         assert expected[len(CLASSICAL_TAUTOLOGIES)].n == 4
         formula._level.cache_clear()
@@ -599,6 +607,56 @@ class TestRefuter:
             monkeypatch.setattr(f"partlogic.formula.{name}", value)
         assert [find_partition_counterexample(f, max_n=4) for f in corpus] == expected
         assert [find_partition_counterexample(f, max_n=4) for f in reversed(corpus)] == expected[::-1]
+
+    @pytest.mark.parametrize("text, reduced", [("(s -> z) /\\ (s -> p)", []),
+                                               ("s -> s", []),
+                                               ("s -> (s -> z)", []),
+                                               ("~s", ["s"]),
+                                               ("p -> (q -> z)", ["q", "p"])])
+    def test_reducible_variables(self, text, reduced):
+        # reducible: one use, as the left operand of an implication whose
+        # right operand does not depend on it; listed in scan order
+        assert self._reducible(parse(text)) == reduced
+
+    @staticmethod
+    def _reducible(f: Formula) -> list[str]:
+        names, steps = formula._compile(f)
+        return [names[v] for v in formula._schedule(steps, len(names), {})[1]]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_preimages_map_onto_the_core(self, n):
+        level = formula._Level(n)
+        parts = [level.partition(i) for i in range(level.size)]
+        for i, z in enumerate(parts):
+            members = boolean_core(z).members
+            images = [implication_blocks(parts[x], z) for x in level.preimages(i)]
+            assert len(images) == len(members) and set(images) == set(members)
+            assert set(members) == {implication_blocks(x, z) for x in parts}
+
+    def test_core_image_scan_gives_the_name_order_result(self, monkeypatch):
+        rng = random.Random(16)
+        corpus = [parse(text) for text in REDUCIBLE_FAILURES]
+        for _, text in CLASSICAL_TAUTOLOGIES + NON_TAUTOLOGIES:
+            corpus.append(pi_negation_transform(parse(text), "z"))
+        corpus += [parse(text) for _, text in NON_TAUTOLOGIES]
+        negated = [Const0(), Const1()] + [Not(Var(v)) for v in "spq"]
+        for _ in range(20):
+            corpus.append(pi_negation_transform(grow(rng, rng.randint(2, 7), ATOMS), "z"))
+            corpus.append(grow(rng, rng.randint(2, 7), negated))
+            corpus.append(Or(pi_negation_transform(grow(rng, rng.randint(2, 6), ATOMS[:4]), "z"), Not(Z)))
+        reduced = [find_partition_counterexample(f, max_n=5) for f in corpus]
+        # the hits past n=2 that the core-image scan found and the name-order scan reran
+        reran = Counter(cex.n for f, cex in zip(corpus, reduced) if cex and cex.n > 2 and self._reducible(f))
+        assert reran == {3: 12, 4: 2}
+        production = formula._schedule
+        monkeypatch.setattr(formula, "_schedule", lambda *args: (production(*args)[0], {}))
+        assert [find_partition_counterexample(f, max_n=5) for f in corpus] == reduced
+
+    def test_relativized_variables_range_over_the_core(self, monkeypatch, cold_levels):
+        calls = self._count_implications(monkeypatch)
+        syllogism = pi_negation_transform(parse("((s -> p) /\\ (p -> q)) -> (s -> q)"), "z")
+        assert find_partition_counterexample(syllogism, max_n=5) is None
+        assert calls[0] <= 70
 
     def test_budget_guard(self):
         f = parse("s \\/ ~s \\/ p \\/ q")
