@@ -17,6 +17,8 @@ from .core import Partition, _require_same_universe, refines
 from .ops import _discretize, implication_blocks, join, meet
 
 MAX_CORE_BLOCKS = 14
+# Members times elements a core may hold: a core of 14 blocks fits 32 elements.
+MAX_CORE_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,22 @@ def boolean_core(pi: Partition) -> BooleanCore:
     Builds one member per subset of the non-singleton blocks and checks
     each member is a double-negation fixed point.  The discrete
     partition has no non-singleton blocks, so its core is the
-    one-element algebra.
+    one-element algebra.  A core of more than ``MAX_CORE_BLOCKS``
+    blocks, or of more than ``MAX_CORE_ENTRIES`` entries over all its
+    members, is refused.
     """
     ns_labels = [b for b, block in enumerate(pi.blocks) if len(block) > 1]
-    if len(ns_labels) > MAX_CORE_BLOCKS:
+    k = len(ns_labels)
+    if k > MAX_CORE_BLOCKS:
+        raise ValueError(f"core would have 2**{k} members, past the bound 2**{MAX_CORE_BLOCKS}")
+    if pi.n << k > MAX_CORE_ENTRIES:
         raise ValueError(
-            f"core would have 2**{len(ns_labels)} members, past the bound 2**{MAX_CORE_BLOCKS}"
+            f"core would have 2**{k} members of {pi.n} elements, past the bound of {MAX_CORE_ENTRIES} entries"
         )
     ns_blocks = tuple(pi.blocks[b] for b in ns_labels)
     members = [
         _discretize(pi, {b for i, b in enumerate(ns_labels) if not mask >> i & 1})
-        for mask in range(1 << len(ns_labels))
+        for mask in range(1 << k)
     ]
     core = BooleanCore(pi, ns_blocks, tuple(members))
     for member in members:

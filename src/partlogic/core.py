@@ -20,18 +20,12 @@ def _require_same_universe(a, b) -> None:
         raise ValueError(f"universe size mismatch: {a.n} != {b.n}")
 
 
-def _label_masks(labels: Iterable[Hashable]) -> dict[Hashable, int]:
-    """The bit mask of the elements of ``0..n-1`` carrying each label."""
-    masks: dict[Hashable, int] = {}
-    for u, lab in enumerate(labels):
-        masks[lab] = masks.get(lab, 0) | 1 << u
-    return masks
-
-
 def _equivalence_bits(labels: Sequence[Hashable]) -> int:
     """Relation bits pairing every two elements of ``0..n-1`` that carry equal labels."""
     n = len(labels)
-    masks = _label_masks(labels)
+    masks: dict[Hashable, int] = {}
+    for u, lab in enumerate(labels):
+        masks[lab] = masks.get(lab, 0) | 1 << u
     bits = 0
     for u, lab in enumerate(labels):
         bits |= masks[lab] << (u * n)
@@ -43,32 +37,29 @@ def _diagonal_bits(n: int) -> int:
     return ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
 
 
-def _component_labels(n: int, groups: Iterable[int]) -> list[int]:
-    """Label each of ``0..n-1`` by the bit mask of its connected component.
+def _component_labels(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
+    """Label each of ``0..n-1`` by the least node of its connected component.
 
-    Each group is a bit mask of elements already known to be connected;
-    groups that overlap merge, and an element in no group stays alone.
-    The one place the package merges classes, shared by relation
-    closure, meet, and the link-labelling method.
+    A union-find over the links ``(u, v)`` (Tarjan, JACM 1975) with path
+    halving, linking the larger root under the smaller: every parent is
+    then a smaller node or the node itself, so one upward pass settles
+    every label.  A node in no link stays alone.  The one place the
+    package merges classes, shared by relation closure, meet, and the
+    link-labelling method.
     """
-    components: list[int] = []
-    for group in groups:
-        apart = []
-        for c in components:
-            if c & group:
-                group |= c
-            else:
-                apart.append(c)
-        apart.append(group)
-        components = apart
-    labels = [1 << u for u in range(n)]
-    for c in components:
-        rest = c
-        while rest:
-            low = rest & -rest
-            labels[low.bit_length() - 1] = c
-            rest ^= low
-    return labels
+    parent = list(range(n))
+    for u, v in links:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        else:
+            parent[u] = v
+    for u in range(n):
+        parent[u] = parent[parent[u]]
+    return parent
 
 
 @dataclass(frozen=True)
@@ -146,19 +137,12 @@ class BinaryRelation:
         rows = self._rows()
         return all(rows[v] & ~rows[u] == 0 for u, v in self)
 
-    def _components(self) -> list[int]:
-        """Label each element by the mask of its class in the closure.
-
-        Each row, with its own element, is one group of connected elements.
-        """
-        return _component_labels(self.n, (row | 1 << u for u, row in enumerate(self._rows())))
-
     def closure(self) -> "BinaryRelation":
         """Smallest equivalence relation containing this one.
 
         The classes are the connected components of the listed pairs.
         """
-        return BinaryRelation(self.n, _equivalence_bits(self._components()))
+        return BinaryRelation(self.n, _equivalence_bits(_component_labels(self.n, self)))
 
     def interior(self) -> "BinaryRelation":
         """Largest ditset contained in this relation.

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import Partition, enumerate_partitions
-from .ops import _discretize, implication_blocks, join, meet
+from .algebra import boolean_core
+from .ops import implication_blocks, join, meet
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -429,10 +430,7 @@ class _Level:
         makes every other element a singleton gives that member, so the
         core itself is a set of preimages.
         """
-        z = self.partition(index)
-        shared = {b for b in z.rgs if z.rgs.count(b) > 1}
-        return [_rank(self.tails, _discretize(z, kept).rgs)
-                for size in range(len(shared) + 1) for kept in itertools.combinations(shared, size)]
+        return [_rank(self.tails, x.rgs) for x in boolean_core(self.partition(index)).members]
 
     @functools.cached_property
     def shapes(self) -> list[int]:

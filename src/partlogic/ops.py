@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
-from .core import BinaryRelation, Partition, _component_labels, _diagonal_bits, _label_masks, _require_same_universe, enumerate_partitions
+from .core import BinaryRelation, Partition, _component_labels, _diagonal_bits, _require_same_universe, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -64,13 +63,16 @@ def meet(p: Partition, q: Partition) -> Partition:
     Elements end up together exactly when a chain of overlapping blocks
     of the two operands connects them, i.e. the blocks are the classes
     of the equivalence relation generated by keeping together whatever
-    either operand keeps together.  The block masks of the two operands
-    merge wherever they overlap, and the blocks are read off the
+    either operand keeps together.  The blocks of ``p`` are the nodes:
+    each element links its ``p`` block to the ``p`` block of the first
+    element of its ``q`` block, and the blocks are read off the
     connected components.
     """
     _require_same_universe(p, q)
-    blocks = chain(_label_masks(p.rgs).values(), _label_masks(q.rgs).values())
-    return Partition.from_labels(_component_labels(p.n, blocks))
+    first: dict[int, int] = {}
+    links = zip(p.rgs, map(first.setdefault, q.rgs, p.rgs))
+    labels = _component_labels(p.num_blocks, links)
+    return Partition.from_labels([labels[b] for b in p.rgs])
 
 
 def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
@@ -162,7 +164,7 @@ def binary_op_graph(op: BoolOp2, p: Partition, q: Partition) -> Partition:
     remains.  ``p`` supplies the left truth-table argument and ``q`` the
     right one.  Isolated vertices become singleton blocks.
     """
-    return Partition.from_labels(retained_links(op, p, q)._components())
+    return Partition.from_labels(_component_labels(p.n, retained_links(op, p, q)))
 
 
 def implication_graph(sigma: Partition, pi: Partition) -> Partition:

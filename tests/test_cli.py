@@ -166,6 +166,13 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == f"error: the bindings have {MAX_EVAL_SIZE + 1} elements, past the bound {MAX_EVAL_SIZE}\n"
 
+    def test_meet_of_the_largest_universe(self, capsys):
+        # The meet merges classes in near-linear time, so two discrete
+        # partitions of the largest universe eval admits meet quickly.
+        top = partlogic.format_partition(partlogic.Partition.discrete(MAX_EVAL_SIZE),
+                                         partlogic.default_labels(MAX_EVAL_SIZE))
+        assert run(capsys, "eval", "1 /\\ 1", "--size", str(MAX_EVAL_SIZE)) == (0, top + "\n", "")
+
     def test_deep_parentheses_get_a_value(self, capsys):
         depth = 10**5
         assert run(capsys, "eval", "(" * depth + "s" + ")" * depth, "s={{a}}") == (0, "{{a}}\n", "")
@@ -273,6 +280,13 @@ class TestCore:
         assert code == 2 and out == ""
         assert err.splitlines() == ["error: core would have 2**15 members, past the bound 2**14"]
 
+    def test_entry_bound(self, capsys):
+        # 14 blocks pass the member bound, but not over 400 elements.
+        long_tail = "rgs:" + ",".join(str(u // 2 if u < 28 else u - 14) for u in range(400))
+        code, out, err = run(capsys, "core", long_tail)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: core would have 2**14 members of 400 elements, past the bound of 524288 entries"]
+
 
 class TestSuite:
     @pytest.fixture(autouse=True)
@@ -366,6 +380,25 @@ def test_cli_imports_only_public_names():
                and (node.level or (node.module or "").startswith("partlogic"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_package_imports_only_the_standard_library():
+    # The package stays dependency-free: every import names a standard
+    # library module or the package itself.
+    allowed = sys.stdlib_module_names | {"partlogic"}
+    paths = sorted(pathlib.Path(partlogic.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    foreign = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
+    assert foreign == []
 
 
 class TestOneParser:

@@ -1,11 +1,12 @@
 import itertools
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given
 
 from partlogic import BinaryRelation, Partition, enumerate_partitions, meet, refines
-from partlogic.core import _diagonal_bits
+from partlogic.core import _component_labels, _diagonal_bits
 
 from conftest import (
     empty_relation,
@@ -245,6 +246,51 @@ class TestClosureInterior:
         p, q = pq
         together = oracle_inditset(p.blocks) | oracle_inditset(q.blocks)
         assert oracle_inditset(meet(p, q).blocks) == oracle_fixpoint_closure(together, p.n)
+
+    # Link orders that stress a union-find: chains either way round,
+    # stars on either end, self-links, repeated links, and n=1.
+    @pytest.mark.parametrize("n, links", [
+        (1, []),
+        (1, [(0, 0), (0, 0)]),
+        (9, [(u, u + 1) for u in range(8)]),
+        (9, [(u + 1, u) for u in range(8)]),
+        (9, [(u, u + 1) for u in reversed(range(8))]),
+        (9, [(u + 1, u) for u in reversed(range(8))]),
+        (9, [(u, u + 2) for u in reversed(range(7))] + [(8, 1)]),
+        (9, [(0, v) for v in range(1, 9)]),
+        (9, [(v, 8) for v in range(8)]),
+        (9, [(4, v) for v in (8, 0, 7, 1, 6, 2)]),
+        (9, [(3, 3), (5, 2), (2, 5), (5, 2), (7, 7), (6, 0), (0, 6), (6, 6)]),
+    ])
+    def test_merger_matches_the_fixpoint(self, n, links):
+        closed = oracle_fixpoint_closure(frozenset(links), n)
+        least = [min(v for v in range(n) if (u, v) in closed) for u in range(n)]
+        assert Partition.from_labels(_component_labels(n, links)) == Partition.from_labels(least)
+
+    def test_meet_merges_in_linear_steps(self):
+        # Count the lines the merger runs for meets of two discrete
+        # partitions: a union-find doubles them when n doubles, where
+        # merging masks of groups with components quadruples them.
+        code = _component_labels.__code__
+
+        def lines(n):
+            count = 0
+
+            def local(frame, event, arg):
+                nonlocal count
+                count += event == "line"
+                return local
+
+            p = Partition.discrete(n)
+            outer = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+            try:
+                meet(p, p)
+            finally:
+                sys.settrace(outer)
+            return count
+
+        assert lines(1000) <= 2.2 * lines(500)
 
     def test_interior_examples(self):
         n = 4
