@@ -9,11 +9,10 @@ partition, isomorphic to the powerset of those non-singleton blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .core import Partition, _require_same_universe, refines
+from .core import Partition, _Value, _require_same_universe, _set_field, refines
 from .ops import _discretize, implication_blocks, join, meet
 
 MAX_CORE_BLOCKS = 14
@@ -21,8 +20,7 @@ MAX_CORE_BLOCKS = 14
 MAX_CORE_ENTRIES = 1 << 19
 
 
-@dataclass(frozen=True)
-class BooleanCore:
+class BooleanCore(_Value):
     """All partitions of the form ``sigma => pi`` for a fixed ``pi``.
 
     ``members[mask]`` discretizes exactly the blocks of ``ns_blocks``
@@ -30,9 +28,15 @@ class BooleanCore:
     the last member is the discrete partition.
     """
 
+    __match_args__ = ("pi", "ns_blocks", "members")
     pi: Partition
     ns_blocks: tuple[tuple[int, ...], ...]
     members: tuple[Partition, ...]
+
+    def __init__(self, pi: Partition, ns_blocks: tuple[tuple[int, ...], ...], members: tuple[Partition, ...]):
+        _set_field(self, "pi", pi)
+        _set_field(self, "ns_blocks", ns_blocks)
+        _set_field(self, "members", members)
 
     @property
     def bottom(self) -> Partition:
@@ -126,9 +130,8 @@ def check_join_decomposition(sigma: Partition, pi: Partition) -> bool:
     The join of ``sigma`` and ``pi`` must equal the meet of the
     excluded-middle partition with the double negation of ``sigma``.
     """
-    lhs = join(sigma, pi)
-    rhs = meet(excluded_middle_partition(sigma, pi), double_pi_negation(sigma, pi))
-    return lhs == rhs
+    neg_sigma = implication_blocks(sigma, pi)  # shared by both operands of the meet
+    return join(sigma, pi) == meet(join(sigma, neg_sigma), implication_blocks(neg_sigma, pi))
 
 
 def check_core_distribution(phi: Partition, pi: Partition, sigma: Partition, tau: Partition) -> bool:

@@ -10,9 +10,49 @@ test batteries cheap at any universe size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
+
+# Sets a field from ``__init__``, past the frozen guard.
+_set_field = object.__setattr__
+
+
+class _Value:
+    """Base of the package's frozen value classes.
+
+    The fields are the names in ``__match_args__``, set once by each
+    class's own ``__init__`` through ``_set_field``; setting or deleting
+    any attribute afterwards raises ``dataclasses.FrozenInstanceError``,
+    imported only to raise it.  Equality (same class, equal fields),
+    hash and repr follow the fields, as a frozen dataclass's do; classes
+    on hot paths write their own.  Instances keep a ``__dict__``, so
+    cached properties, ``vars``, ``pickle`` and ``copy`` work on them.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _require_same_universe(a, b) -> None:
@@ -62,8 +102,7 @@ def _component_labels(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
     return parent
 
 
-@dataclass(frozen=True)
-class BinaryRelation:
+class BinaryRelation(_Value):
     """A set of ordered pairs over ``{0..n-1} x {0..n-1}``.
 
     Pair ``(u, v)`` occupies bit ``u*n + v`` of ``bits``.  Python's
@@ -71,14 +110,33 @@ class BinaryRelation:
     every ``n``, with the set algebra as single bitwise operations.
     """
 
+    __match_args__ = ("n", "bits")
     n: int
     bits: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, bits: int):
+        if n < 1:
             raise ValueError("universe must contain at least one element")
-        if self.bits < 0 or self.bits >> (self.n * self.n):
+        if bits < 0 or bits >> (n * n):
             raise ValueError("relation contains a pair outside the universe")
+        _set_field(self, "n", n)
+        _set_field(self, "bits", bits)
+
+    @classmethod
+    def _trusted(cls, n: int, bits: int) -> "BinaryRelation":
+        """Wrap bits its builder kept inside an ``n``-universe, without re-checking them."""
+        r = object.__new__(cls)
+        _set_field(r, "n", n)
+        _set_field(r, "bits", bits)
+        return r
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.bits))
 
     @classmethod
     def identity(cls, n: int) -> "BinaryRelation":
@@ -102,15 +160,15 @@ class BinaryRelation:
 
     def __or__(self, other: "BinaryRelation") -> "BinaryRelation":
         _require_same_universe(self, other)
-        return BinaryRelation(self.n, self.bits | other.bits)
+        return BinaryRelation._trusted(self.n, self.bits | other.bits)
 
     def __and__(self, other: "BinaryRelation") -> "BinaryRelation":
         _require_same_universe(self, other)
-        return BinaryRelation(self.n, self.bits & other.bits)
+        return BinaryRelation._trusted(self.n, self.bits & other.bits)
 
     def __sub__(self, other: "BinaryRelation") -> "BinaryRelation":
         _require_same_universe(self, other)
-        return BinaryRelation(self.n, self.bits & ~other.bits)
+        return BinaryRelation._trusted(self.n, self.bits & ~other.bits)
 
     def __le__(self, other: "BinaryRelation") -> bool:
         """Subset test."""
@@ -118,7 +176,7 @@ class BinaryRelation:
         return self.bits & ~other.bits == 0
 
     def complement(self) -> "BinaryRelation":
-        return BinaryRelation(self.n, self.bits ^ ((1 << (self.n * self.n)) - 1))
+        return BinaryRelation._trusted(self.n, self.bits ^ ((1 << (self.n * self.n)) - 1))
 
     def _rows(self) -> list[int]:
         """Row ``u`` holds bit ``v`` for each pair ``(u, v)``."""
@@ -142,7 +200,7 @@ class BinaryRelation:
 
         The classes are the connected components of the listed pairs.
         """
-        return BinaryRelation(self.n, _equivalence_bits(_component_labels(self.n, self)))
+        return BinaryRelation._trusted(self.n, _equivalence_bits(_component_labels(self.n, self)))
 
     def interior(self) -> "BinaryRelation":
         """Largest ditset contained in this relation.
@@ -153,8 +211,7 @@ class BinaryRelation:
         return self.complement().closure().complement()
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(_Value):
     """A partition of ``{0..n-1}`` in canonical restricted-growth form.
 
     ``rgs[u]`` is the block index of element ``u``.  Canonical form means
@@ -165,28 +222,59 @@ class Partition:
     ``enumerate_partitions`` produces.
     """
 
+    __match_args__ = ("n", "rgs")
     n: int
     rgs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, rgs: tuple[int, ...]):
+        if n < 1:
             raise ValueError("universe must contain at least one element")
-        if len(self.rgs) != self.n:
-            raise ValueError(f"rgs length {len(self.rgs)} does not match universe size {self.n}")
+        if len(rgs) != n:
+            raise ValueError(f"rgs length {len(rgs)} does not match universe size {n}")
         peak = -1
-        for i, b in enumerate(self.rgs):
+        for i, b in enumerate(rgs):
             if b < 0 or b > peak + 1:
                 raise ValueError(f"rgs is not in restricted-growth form at index {i}")
             if b > peak:
                 peak = b
+        _set_field(self, "n", n)
+        _set_field(self, "rgs", rgs)
 
     @classmethod
     def _canonical(cls, n: int, rgs: tuple[int, ...]) -> "Partition":
         """Wrap an rgs its builder made canonical, without re-checking it."""
         p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "rgs", rgs)
+        _set_field(p, "n", n)
+        _set_field(p, "rgs", rgs)
         return p
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rgs == other.rgs  # of length n, so n agrees too
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.rgs))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rgs) < (other.n, other.rgs)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rgs) <= (other.n, other.rgs)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rgs) > (other.n, other.rgs)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rgs) >= (other.n, other.rgs)
+        return NotImplemented
 
     @classmethod
     @cache
@@ -262,7 +350,7 @@ class Partition:
     @cached_property
     def inditset(self) -> BinaryRelation:
         """All ordered pairs of elements lying in the same block."""
-        return BinaryRelation(self.n, _equivalence_bits(self.rgs))
+        return BinaryRelation._trusted(self.n, _equivalence_bits(self.rgs))
 
     @cached_property
     def ditset(self) -> BinaryRelation:

@@ -20,10 +20,9 @@ import itertools
 import operator
 import re
 from array import array
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import Partition, enumerate_partitions
+from .core import Partition, _Value, _set_field, enumerate_partitions
 from .algebra import boolean_core
 from .ops import implication_blocks, join, meet
 
@@ -34,11 +33,13 @@ DEFAULT_MAX_SIZE = 4
 DEFAULT_BUDGET = 10**8
 
 
-class Formula:
+class Formula(_Value):
     """Base class for formula nodes, identified by their printed text.
 
     ``parse`` inverts the printer, so ``==``, ``hash`` and ``repr`` go
-    through :func:`format_formula` and never recurse.
+    through :func:`format_formula` and never recurse.  Node constructors
+    set their fields one by one, with no loop: ``parse`` builds one node
+    per token.
     """
 
     def __str__(self) -> str:
@@ -57,50 +58,58 @@ class Formula:
             return object.__repr__(self)
 
 
-# Nodes keep the generated keyword __init__, __match_args__ and frozen guard.
-_node = dataclass(frozen=True, eq=False, repr=False)
-
-
-@_node
 class Var(Formula):
+    """A variable, named by an identifier."""
+
+    __match_args__ = ("name",)
     name: str
 
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"invalid variable name {self.name!r}")
+    def __init__(self, name: str):
+        if not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"invalid variable name {name!r}")
+        _set_field(self, "name", name)
 
 
-@_node
 class Const0(Formula):
     """The bottom constant: classically false, the indiscrete partition."""
 
 
-@_node
 class Const1(Formula):
     """The top constant: classically true, the discrete partition."""
 
 
-@_node
 class Not(Formula):
+    """Negation, read as implication into the bottom constant."""
+
+    __match_args__ = ("child",)
     child: Formula
 
+    def __init__(self, child: Formula):
+        _set_field(self, "child", child)
 
-@_node
-class And(Formula):
+
+class _Binary(Formula):
+    """A binary connective; its three classes share this ``__init__``."""
+
+    __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
-
-@_node
-class Or(Formula):
-    left: Formula
-    right: Formula
+    def __init__(self, left: Formula, right: Formula):
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
 
 
-@_node
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    """Conjunction: the meet of partitions."""
+
+
+class Or(_Binary):
+    """Disjunction: the join of partitions."""
+
+
+class Implies(_Binary):
+    """Implication: the block rule on partitions."""
 
 
 class ParseError(ValueError):
@@ -243,17 +252,19 @@ def free_vars(f: Formula) -> tuple[str, ...]:
     return _compile(f)[0]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Value):
     """Bindings from variable names to partitions over one shared universe."""
 
+    __match_args__ = ("n", "bindings")
     n: int
     bindings: Mapping[str, Partition]
 
-    def __post_init__(self):
-        for name, p in self.bindings.items():
-            if p.n != self.n:
-                raise ValueError(f"binding {name!r} has universe size {p.n}, expected {self.n}")
+    def __init__(self, n: int, bindings: Mapping[str, Partition]):
+        for name, p in bindings.items():
+            if p.n != n:
+                raise ValueError(f"binding {name!r} has universe size {p.n}, expected {n}")
+        _set_field(self, "n", n)
+        _set_field(self, "bindings", bindings)
 
 
 _PLACED = object()

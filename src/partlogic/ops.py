@@ -9,25 +9,34 @@ method generalizes to all sixteen binary truth functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import BinaryRelation, Partition, _component_labels, _diagonal_bits, _require_same_universe, enumerate_partitions
+from .core import (
+    BinaryRelation,
+    Partition,
+    _Value,
+    _component_labels,
+    _diagonal_bits,
+    _require_same_universe,
+    _set_field,
+    enumerate_partitions,
+)
 
 
-@dataclass(frozen=True)
-class BoolOp2:
+class BoolOp2(_Value):
     """One of the 16 binary truth functions, as a 4-entry truth table.
 
     ``table`` is indexed by ``2*left + right``, so the entries are the
     values at (F,F), (F,T), (T,F), (T,T).
     """
 
+    __match_args__ = ("table",)
     table: tuple[bool, bool, bool, bool]
 
-    def __post_init__(self):
-        if len(self.table) != 4 or not all(isinstance(v, bool) for v in self.table):
+    def __init__(self, table: tuple[bool, bool, bool, bool]):
+        if len(table) != 4 or not all(isinstance(v, bool) for v in table):
             raise ValueError("truth table needs exactly four boolean entries")
+        _set_field(self, "table", table)
 
     def __call__(self, left: bool, right: bool) -> bool:
         return self.table[2 * left + right]
@@ -152,7 +161,7 @@ def retained_links(op: BoolOp2, p: Partition, q: Partition) -> BinaryRelation:
         for right in (False, True):
             if not op(left, right):
                 bits |= (dp if left else ~dp) & (dq if right else ~dq) & off
-    return BinaryRelation(n, bits)
+    return BinaryRelation._trusted(n, bits)
 
 
 def binary_op_graph(op: BoolOp2, p: Partition, q: Partition) -> Partition:

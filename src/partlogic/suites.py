@@ -13,7 +13,6 @@ into its exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
@@ -25,7 +24,7 @@ from .algebra import (
     double_pi_negation,
     excluded_middle_partition,
 )
-from .core import BinaryRelation, Partition, enumerate_partitions, refines
+from .core import BinaryRelation, Partition, _Value, _set_field, enumerate_partitions, refines
 from .formula import (
     Assignment,
     Formula,
@@ -78,11 +77,18 @@ NON_TAUTOLOGIES: tuple[tuple[str, str], ...] = (
 TRANSFORM_VARIABLE = "z"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
+    """The outcome of one named check; ``detail`` names a failure's first failing input."""
+
+    __match_args__ = ("name", "passed", "detail")
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        _set_field(self, "name", name)
+        _set_field(self, "passed", passed)
+        _set_field(self, "detail", detail)
 
 
 def _check(name: str, failure: str | None) -> CheckResult:

@@ -401,6 +401,23 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # Each CLI call is a fresh process; these two modules cost it ~10 ms.
+    src = os.path.dirname(os.path.dirname(partlogic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\n"
+        "def loaded(): return sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
+        "import partlogic\n"
+        "print(loaded())\n"
+        "import partlogic.cli\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 class TestOneParser:
     def test_main_builds_no_parser(self, capsys):
         init = argparse.ArgumentParser.__init__

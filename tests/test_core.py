@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from partlogic import BinaryRelation, Partition, enumerate_partitions, meet, refines
+from partlogic import BinaryRelation, Partition, all_binary_ops, enumerate_partitions, meet, refines, retained_links
 from partlogic.core import _component_labels, _diagonal_bits
 
 from conftest import (
@@ -311,6 +311,21 @@ class TestClosureInterior:
             assert inner <= r <= closed
             assert closed.closure() == closed
             assert inner.interior() == inner
+
+    def test_derived_relations_pass_the_public_checks(self):
+        # These results are built without re-checking; each must be one the checked constructor accepts.
+        n = 3
+        s = relation_from_pairs([(0, 1), (2, 2)], n)
+        for mask in range(1 << (n * n)):
+            r = BinaryRelation(n, mask)
+            for derived in (r | s, r & s, r - s, s - r, r.complement(), r.closure(), r.interior()):
+                assert BinaryRelation(derived.n, derived.bits) == derived
+        parts = all_parts(n)
+        for p in parts:
+            assert BinaryRelation(n, p.inditset.bits) == p.inditset
+            for q, op in itertools.product(parts, all_binary_ops()):
+                links = retained_links(op, p, q)
+                assert BinaryRelation(n, links.bits) == links
 
     def test_interior_fixes_ditsets(self):
         for n in range(1, 6):
