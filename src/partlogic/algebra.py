@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .core import Partition, _Value, _require_same_universe, _set_field, refines
-from .ops import _discretize, implication_blocks, join, meet
+from .ops import _discretize, _straddling, implication_blocks, join, meet
 
 MAX_CORE_BLOCKS = 14
 # Members times elements a core may hold: a core of 14 blocks fits 32 elements.
@@ -110,9 +110,21 @@ def double_pi_negation(sigma: Partition, pi: Partition) -> Partition:
 
     This is the closure of ``sigma`` into the core: the blocks of ``pi``
     that lie inside blocks of ``sigma`` stay whole and everything else
-    discretizes, so ``sigma`` always refines into the result.
+    discretizes, so ``sigma`` always refines into the result.  The
+    block rule is applied once, keeping whole the non-singleton blocks
+    that no block of ``sigma`` straddles, so the ends of the core are
+    returned without building a partition: the ``pi`` argument itself
+    when nothing straddles, and the shared ``Partition.discrete(n)``
+    when every non-singleton block does.  Values are frozen, so which
+    object comes back is not part of the result.
     """
-    return implication_blocks(implication_blocks(sigma, pi), pi)
+    _require_same_universe(sigma, pi)
+    straddling, repeated = _straddling(sigma, pi)
+    if not straddling:
+        return pi
+    if len(straddling) == len(repeated):
+        return Partition.discrete(pi.n)
+    return _discretize(pi, repeated - straddling)
 
 
 def excluded_middle_partition(sigma: Partition, pi: Partition) -> Partition:

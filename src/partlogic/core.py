@@ -140,7 +140,7 @@ class BinaryRelation(_Value):
 
     @classmethod
     def identity(cls, n: int) -> "BinaryRelation":
-        return cls(n, _diagonal_bits(n))
+        return cls(n, _diagonal_bits(n) if n > 0 else 0)  # the constructor rejects n < 1
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self._rows()):

@@ -88,16 +88,39 @@ def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
     """Implication by the block rule: the production implementation.
 
     Every block of ``pi`` that lies inside a block of ``sigma`` dissolves
-    into singletons; every other block stays whole.  The result is the
-    discrete partition exactly when ``pi`` refines ``sigma``.
+    into singletons; every other block stays whole.  The result lies in
+    the Boolean core of ``pi``, and its two ends are returned without
+    building a partition: the shared ``Partition.discrete(n)`` when
+    ``pi`` refines ``sigma`` (no block straddles), and the ``pi``
+    argument itself when every non-singleton block straddles.  Values
+    are frozen, so which object comes back is not part of the result.
     """
     _require_same_universe(sigma, pi)
+    straddling, repeated = _straddling(sigma, pi)
+    if not straddling:
+        return Partition.discrete(pi.n)
+    if len(straddling) == len(repeated):
+        return pi
+    return _discretize(pi, straddling)
+
+
+def _straddling(sigma: Partition, pi: Partition) -> tuple[set[int], set[int]]:
+    """The labels of the blocks of ``pi`` that straddle ``sigma``, and of those with two or more elements.
+
+    A block straddles when it meets two blocks of ``sigma``, so the
+    first set lies inside the second.  Reads only the two rgs tuples.
+    """
     first: dict[int, int] = {}
     straddling: set[int] = set()
+    repeated: set[int] = set()
     for s, b in zip(sigma.rgs, pi.rgs):
-        if first.setdefault(b, s) != s:
-            straddling.add(b)
-    return _discretize(pi, straddling)
+        if b in first:
+            repeated.add(b)
+            if first[b] != s:
+                straddling.add(b)
+        else:
+            first[b] = s
+    return straddling, repeated
 
 
 def _discretize(pi: Partition, whole: set[int]) -> Partition:
@@ -197,6 +220,8 @@ def negation(sigma: Partition) -> Partition:
     """Absolute negation: implication into the indiscrete partition.
 
     Collapses everything except the indiscrete partition itself, whose
-    negation is discrete.
+    negation is discrete.  Both answers are ends of the Boolean core of
+    the indiscrete partition, so no partition is built: the result is
+    the shared ``Partition.indiscrete(n)`` or ``Partition.discrete(n)``.
     """
     return implication_blocks(sigma, Partition.indiscrete(sigma.n))

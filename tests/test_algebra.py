@@ -116,11 +116,12 @@ class TestNegationIdentities:
         assert double_pi_negation(pi, pi) == pi
 
     def test_double_negation_keeps_contained_blocks(self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             parts = all_parts(n)
             for sigma in parts:
                 for pi in parts:
                     closed = double_pi_negation(sigma, pi)
+                    assert closed == implication_blocks(implication_blocks(sigma, pi), pi)
                     expected_whole = {
                         block for block in pi.blocks
                         if len(block) > 1 and len({sigma.rgs[u] for u in block}) == 1

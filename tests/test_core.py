@@ -129,6 +129,10 @@ class TestRelations:
             with pytest.raises(ValueError) as err:
                 BinaryRelation(n, 0)
             assert str(err.value) == "universe must contain at least one element"
+        for n in (0, -1, -2):
+            with pytest.raises(ValueError) as err:
+                BinaryRelation.identity(n)
+            assert str(err.value) == "universe must contain at least one element"
         for bits in (-1, 1 << 4, 1 << 9):
             with pytest.raises(ValueError) as err:
                 BinaryRelation(2, bits)

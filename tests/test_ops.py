@@ -8,6 +8,7 @@ from partlogic import (
     Partition,
     all_binary_ops,
     binary_op_graph,
+    double_pi_negation,
     enumerate_partitions,
     implication_adjunctive,
     implication_blocks,
@@ -18,6 +19,8 @@ from partlogic import (
     negation,
     refines,
 )
+from partlogic import algebra, ops
+from partlogic.ops import _discretize
 
 from conftest import partition_pairs, partition_triples
 
@@ -147,6 +150,16 @@ class TestImplication:
         assert implication_blocks(sigma, pi) == Partition(5, (0, 0, 1, 2, 3))
         assert "blocks" not in vars(sigma)
         assert "blocks" not in vars(pi)
+        # double negation, through each of its three answers: built, pi, discrete
+        for sigma_rgs, pi_rgs, expected in [
+            ((0, 1, 1, 1, 2), (0, 0, 1, 1, 2), (0, 1, 2, 2, 3)),
+            ((0, 1, 0, 1, 1), (0, 0, 1, 1, 2), (0, 1, 2, 3, 4)),
+            ((0, 0, 1, 1, 1), (0, 0, 1, 1, 2), (0, 0, 1, 1, 2)),
+        ]:
+            sigma, pi = Partition(5, sigma_rgs), Partition(5, pi_rgs)
+            assert double_pi_negation(sigma, pi) == Partition(5, expected)
+            assert "blocks" not in vars(sigma)
+            assert "blocks" not in vars(pi)
 
     @settings(deadline=None)
     @given(partition_pairs(min_n=7, max_n=12))
@@ -155,6 +168,7 @@ class TestImplication:
         n = sigma.n
         assert implication_blocks(sigma, pi) == implication_graph(sigma, pi) == implication_interior(sigma, pi)
         assert negation(sigma) == implication_graph(sigma, Partition.indiscrete(n))
+        assert double_pi_negation(sigma, pi) == implication_blocks(implication_blocks(sigma, pi), pi)
 
 
 class TestNegation:
@@ -172,6 +186,33 @@ class TestNegation:
             for pi in all_parts(n):
                 assert implication_blocks(Partition.discrete(n), pi) == pi
                 assert implication_blocks(pi, pi) == Partition.discrete(n)
+
+    def test_core_ends_are_returned_without_building(self, monkeypatch):
+        # Over all pairs at n=6, only the answers strictly inside the core of
+        # pi reach _discretize; the rest come back as pi or the shared discrete.
+        built = []
+
+        def counted(pi, whole):
+            built.append(pi)
+            return _discretize(pi, whole)
+
+        monkeypatch.setattr(ops, "_discretize", counted)
+        monkeypatch.setattr(algebra, "_discretize", counted)
+        parts = all_parts(6)
+        top = Partition.discrete(6)
+        for op, expected in [
+            (implication_blocks, {"built": 9470, "pi": 29268, "discrete": 2471}),
+            (double_pi_negation, {"built": 9470, "pi": 2471, "discrete": 29268}),
+        ]:
+            built.clear()
+            seen = {"built": 0, "pi": 0, "discrete": 0}
+            for sigma in parts:
+                for pi in parts:
+                    result = op(sigma, pi)
+                    seen["pi" if result is pi else "discrete" if result is top else "built"] += 1
+            assert seen == expected
+            assert len(built) == expected["built"]
+
 
 class TestGraphMethod:
     def test_constant_true_gives_top(self):
