@@ -76,8 +76,9 @@ def boolean_core(pi: Partition) -> BooleanCore:
             f"core would have 2**{k} members of {pi.n} elements, past the bound of {MAX_CORE_ENTRIES} entries"
         )
     ns_blocks = tuple(pi.blocks[b] for b in ns_labels)
+    repeated = set(ns_labels)
     members = [
-        _discretize(pi, {b for i, b in enumerate(ns_labels) if not mask >> i & 1})
+        _discretize(pi, {b for i, b in enumerate(ns_labels) if not mask >> i & 1}, repeated)
         for mask in range(1 << k)
     ]
     core = BooleanCore(pi, ns_blocks, tuple(members))
@@ -112,19 +113,15 @@ def double_pi_negation(sigma: Partition, pi: Partition) -> Partition:
     that lie inside blocks of ``sigma`` stay whole and everything else
     discretizes, so ``sigma`` always refines into the result.  The
     block rule is applied once, keeping whole the non-singleton blocks
-    that no block of ``sigma`` straddles, so the ends of the core are
-    returned without building a partition: the ``pi`` argument itself
-    when nothing straddles, and the shared ``Partition.discrete(n)``
-    when every non-singleton block does.  Values are frozen, so which
-    object comes back is not part of the result.
+    that no block of ``sigma`` straddles; ``_discretize`` returns the
+    ends of the core, ``pi`` when nothing straddles and the discrete
+    partition when every non-singleton block does, without building a
+    partition.  Values are frozen, so which object comes back is not
+    part of the result.
     """
     _require_same_universe(sigma, pi)
     straddling, repeated = _straddling(sigma, pi)
-    if not straddling:
-        return pi
-    if len(straddling) == len(repeated):
-        return Partition.discrete(pi.n)
-    return _discretize(pi, repeated - straddling)
+    return _discretize(pi, repeated - straddling, repeated)
 
 
 def excluded_middle_partition(sigma: Partition, pi: Partition) -> Partition:

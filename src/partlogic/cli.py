@@ -36,15 +36,9 @@ MAX_HASSE_SIZE = 6
 MAX_EVAL_SIZE = 10_000
 
 
-def _read_formula_text(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
-    return arg
-
-
 def _parse_formula(arg: str):
     try:
-        return parse(_read_formula_text(arg))
+        return parse(sys.stdin.read() if arg == "-" else arg)
     except ParseError as exc:
         raise ValueError(f"syntax error: {exc}") from exc
 
@@ -196,6 +190,7 @@ def cmd_core(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"bad partition literal: {exc}") from exc
     core = boolean_core(pi)
+    blocks = ["{" + ",".join(labels[u] for u in block) + "}" for block in core.ns_blocks]
     rows = []
     for member in core.members:
         rows.append({
@@ -205,16 +200,12 @@ def cmd_core(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps({
             "pi": format_partition(pi, labels),
-            "non_singleton_blocks": [
-                "{" + ",".join(labels[u] for u in block) + "}" for block in core.ns_blocks
-            ],
+            "non_singleton_blocks": blocks,
             "members": rows,
         }))
     else:
         print(f"pi: {format_partition(pi, labels)}")
-        named = " ".join(
-            f"{i}:{{{','.join(labels[u] for u in block)}}}" for i, block in enumerate(core.ns_blocks)
-        )
+        named = " ".join(f"{i}:{block}" for i, block in enumerate(blocks))
         print(f"non-singleton blocks: {named if named else '(none)'}")
         print(f"members ({len(core)}):")
         for row in rows:
@@ -256,29 +247,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, dest="max_size")
     p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_common(p_check)
+    p_check.set_defaults(handler=cmd_check)
 
     p_eval = sub.add_parser("eval", help="evaluate a formula under partition bindings")
     p_eval.add_argument("formula", help="formula text, or - to read stdin")
     p_eval.add_argument("bindings", nargs="*", metavar="name=partition")
     p_eval.add_argument("--size", type=int, default=None, help="universe size when there are no bindings")
     add_common(p_eval)
+    p_eval.set_defaults(handler=cmd_eval)
 
     p_table = sub.add_parser("table", help="print the full operation table over all partitions of a universe")
     p_table.add_argument("op", choices=sorted(TABLE_OPS))
     p_table.add_argument("n", type=int)
     add_common(p_table)
+    p_table.set_defaults(handler=cmd_table)
 
     p_enum = sub.add_parser("enumerate", help="list all partitions of a universe")
     p_enum.add_argument("n", type=int)
     add_common(p_enum, formats=FORMATS)
+    p_enum.set_defaults(handler=cmd_enumerate)
 
     p_core = sub.add_parser("core", help="print the Boolean core of a partition")
     p_core.add_argument("pi", help="partition literal")
     add_common(p_core)
+    p_core.set_defaults(handler=cmd_core)
 
     p_suite = sub.add_parser("suite", help="run a named check suite")
     p_suite.add_argument("name", choices=sorted(SUITES))
     add_common(p_suite)
+    p_suite.set_defaults(handler=cmd_suite)
 
     return parser
 
@@ -287,20 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # fresh Namespace per call, so in-process callers share it safely.
 _PARSER = _build_parser()
 
-_HANDLERS = {
-    "check": cmd_check,
-    "eval": cmd_eval,
-    "table": cmd_table,
-    "enumerate": cmd_enumerate,
-    "core": cmd_core,
-    "suite": cmd_suite,
-}
-
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ test batteries cheap at any universe size.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, total_ordering
 from typing import Hashable, Iterable, Iterator, Sequence
 
 # Sets a field from ``__init__``, past the frozen guard.
@@ -211,6 +211,7 @@ class BinaryRelation(_Value):
         return self.complement().closure().complement()
 
 
+@total_ordering
 class Partition(_Value):
     """A partition of ``{0..n-1}`` in canonical restricted-growth form.
 
@@ -233,12 +234,14 @@ class Partition(_Value):
             raise ValueError(f"rgs length {len(rgs)} does not match universe size {n}")
         peak = -1
         for i, b in enumerate(rgs):
+            if type(b) is not int:
+                raise ValueError(f"rgs entry {b!r} at index {i} is not an integer")
             if b < 0 or b > peak + 1:
                 raise ValueError(f"rgs is not in restricted-growth form at index {i}")
             if b > peak:
                 peak = b
         _set_field(self, "n", n)
-        _set_field(self, "rgs", rgs)
+        _set_field(self, "rgs", tuple(rgs))
 
     @classmethod
     def _canonical(cls, n: int, rgs: tuple[int, ...]) -> "Partition":
@@ -259,21 +262,6 @@ class Partition(_Value):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.n, self.rgs) < (other.n, other.rgs)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.rgs) <= (other.n, other.rgs)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.rgs) > (other.n, other.rgs)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.rgs) >= (other.n, other.rgs)
         return NotImplemented
 
     @classmethod

@@ -127,8 +127,8 @@ _TOKEN_RE = re.compile(
     rf"|(?P<arrow>->)|(?P<zero>0)|(?P<one>1)|(?P<ident>{_IDENT_RE.pattern})|(?P<bad>\S))"
 )
 # Binding power of each binary connective, whether it groups to the right,
-# and the node it builds.
-_BINARY = {"arrow": (1, True, Implies), "or": (2, False, Or), "and": (3, False, And)}
+# the node it builds, and how it prints.
+_BINARY = {"arrow": (1, True, Implies, " -> "), "or": (2, False, Or, " \\/ "), "and": (3, False, And, " /\\ ")}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -177,7 +177,7 @@ def parse(text: str) -> Formula:
             # Reduce the pending connectives that bind tighter; an equal one
             # is reduced too unless the connective groups to the right.
             while operators and operators[-1] in _BINARY:
-                top, _, node = _BINARY[operators[-1]]
+                top, _, node, _ = _BINARY[operators[-1]]
                 if top < precedence or (top == precedence and binary[1]):
                     break
                 operators.pop()
@@ -202,12 +202,11 @@ def parse(text: str) -> Formula:
 
 # How each connective prints: its precedence, its symbol, and the least
 # precedence its left and right operands print at without parentheses
-# (``None`` on the left of the prefix ``~``).
-_LAYOUT = {
-    Not: (4, "~", None, 4),
-    And: (3, " /\\ ", 3, 4),
-    Or: (2, " \\/ ", 2, 3),
-    Implies: (1, " -> ", 2, 1),
+# (``None`` on the left of the prefix ``~``).  A binary operand on the side
+# its connective does not group to needs a tighter precedence.
+_LAYOUT = {Not: (4, "~", None, 4)} | {
+    node: (precedence, symbol, precedence + right, precedence + (not right))
+    for precedence, right, node, symbol in _BINARY.values()
 }
 
 
@@ -396,9 +395,9 @@ class _Level:
     serves every formula at its size (see ``_level``), so it keeps what
     depends only on n: the block shapes, the relabelling rows, built on
     first need, and ``memo``, from ``(kind, i, j)`` to the index of that
-    connective on those indices and from ``("core", i)`` to
-    ``preimages(i)``.  The memo holds at most ``_MEMO_LIMIT`` entries; a
-    full memo is cleared.
+    connective on those indices and from ``("core", i, None)`` to
+    ``preimages(i)``.  Only ``fill`` writes the memo, which holds at
+    most ``_MEMO_LIMIT`` entries.
     """
 
     def __init__(self, n: int):
@@ -412,7 +411,7 @@ class _Level:
         self.tails = tails
         self.size = tails[0][1]
         self.algebra = _partition_algebra(n)
-        self.memo: dict[tuple, int] = {}
+        self.memo: dict[tuple, int | list[int]] = {}
 
     def partition(self, index: int) -> Partition:
         """The partition at ``index``."""
@@ -427,9 +426,22 @@ class _Level:
             used += block == used
         return Partition._canonical(self.n, tuple(rgs))
 
-    def apply(self, kind: type, i: int, j: int) -> int:
-        """The index of connective ``kind`` on indices ``i`` and ``j``."""
-        return _rank(self.tails, self.algebra[kind](self.partition(i), self.partition(j)).rgs)
+    def fill(self, key: tuple) -> int | list[int]:
+        """Compute the memo entry ``key``, store it, and return it; a full memo is cleared first.
+
+        ``(kind, i, j)`` is the index of connective ``kind`` on indices
+        ``i`` and ``j``, and ``("core", i, None)`` is ``preimages(i)``.
+        """
+        memo = self.memo
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        kind, i, j = key
+        if j is None:
+            value = self.preimages(i)
+        else:
+            value = _rank(self.tails, self.algebra[kind](self.partition(i), self.partition(j)).rgs)
+        memo[key] = value
+        return value
 
     def preimages(self, index: int) -> list[int]:
         """One ``x`` for each value ``x -> z`` takes, ``z`` the partition at ``index``.
@@ -550,9 +562,10 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
 
     ``schedule`` is ``(var_slots, sources, runs)``: loop ``d`` binds the
     variable at slot ``var_slots[d]`` and runs only the steps of depth
-    ``d``, ``runs[d + 1]``.  A connective on indices is computed once by
-    ``_Level.apply`` and read from the level's memo after that, in this
-    scan and in every later one at the same size.
+    ``d``, ``runs[d + 1]``.  A connective on indices, like a list of
+    preimages, is computed once by ``_Level.fill`` and read from the
+    level's memo after that, in this scan and in every later one at the
+    same size.
 
     ``sources[d]`` says where loop ``d`` takes its values.  ``None``
     prunes them by relabelling: a permutation ``g`` maps
@@ -584,12 +597,11 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
     def descend(depth: int, swaps: list[array]) -> bool:
         slot, todo, last, source = var_slots[depth], runs[depth + 1], depth == k - 1, sources[depth]
         if source is not None:
-            key = ("core", slots[source])
-            candidates = memo.get(key)
-            if candidates is None:
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                candidates = memo[key] = level.preimages(key[1])
+            key = ("core", slots[source], None)
+            try:
+                candidates = memo[key]
+            except KeyError:
+                candidates = level.fill(key)
         elif depth:
             bound = values[depth - 1]
             swaps = [row for row in swaps if row[bound] == bound]
@@ -601,12 +613,10 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
             slots[slot] = values[depth] = v
             for out, kind, a, b in todo:
                 key = (kind, slots[a], slots[b])
-                value = memo.get(key)
-                if value is None:
-                    if len(memo) >= _MEMO_LIMIT:
-                        memo.clear()
-                    value = memo[key] = level.apply(*key)
-                slots[out] = value
+                try:
+                    slots[out] = memo[key]
+                except KeyError:
+                    slots[out] = level.fill(key)
             if last:
                 if slots[-1] != top:
                     return True
@@ -615,7 +625,11 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
         return False
 
     for out, kind, a, b in runs[0]:
-        slots[out] = level.apply(kind, slots[a], slots[b])
+        key = (kind, slots[a], slots[b])
+        try:
+            slots[out] = memo[key]
+        except KeyError:
+            slots[out] = level.fill(key)
     if not k:
         return () if slots[-1] != top else None
     return tuple(values) if descend(0, level.swaps if None in sources[1:] else []) else None

@@ -89,19 +89,15 @@ def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
 
     Every block of ``pi`` that lies inside a block of ``sigma`` dissolves
     into singletons; every other block stays whole.  The result lies in
-    the Boolean core of ``pi``, and its two ends are returned without
-    building a partition: the shared ``Partition.discrete(n)`` when
-    ``pi`` refines ``sigma`` (no block straddles), and the ``pi``
-    argument itself when every non-singleton block straddles.  Values
-    are frozen, so which object comes back is not part of the result.
+    the Boolean core of ``pi``, whose ends ``_discretize`` returns
+    without building a partition: the discrete partition when ``pi``
+    refines ``sigma`` (no block straddles), and ``pi`` when every
+    non-singleton block straddles.  Values are frozen, so which object
+    comes back is not part of the result.
     """
     _require_same_universe(sigma, pi)
     straddling, repeated = _straddling(sigma, pi)
-    if not straddling:
-        return Partition.discrete(pi.n)
-    if len(straddling) == len(repeated):
-        return pi
-    return _discretize(pi, straddling)
+    return _discretize(pi, straddling, repeated)
 
 
 def _straddling(sigma: Partition, pi: Partition) -> tuple[set[int], set[int]]:
@@ -123,12 +119,20 @@ def _straddling(sigma: Partition, pi: Partition) -> tuple[set[int], set[int]]:
     return straddling, repeated
 
 
-def _discretize(pi: Partition, whole: set[int]) -> Partition:
+def _discretize(pi: Partition, whole: set[int], repeated: set[int]) -> Partition:
     """Keep the blocks of ``pi`` whose labels are in ``whole``; dissolve the rest.
 
-    A dissolved element ``u`` gets the label ``-1 - u``, which no block
-    of ``pi`` uses, and ``from_labels`` canonicalizes the result.
+    ``whole`` lies inside ``repeated``, the labels of the non-singleton
+    blocks.  The two ends of the core come back without building a
+    partition: the shared ``Partition.discrete(n)`` when ``whole`` is
+    empty, and ``pi`` itself when it holds every repeated block.
+    Otherwise a dissolved element ``u`` gets the label ``-1 - u``, which
+    no block of ``pi`` uses, and ``from_labels`` canonicalizes the result.
     """
+    if not whole:
+        return Partition.discrete(pi.n)
+    if len(whole) == len(repeated):
+        return pi
     return Partition.from_labels([b if b in whole else -1 - u for u, b in enumerate(pi.rgs)])
 
 

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -353,6 +355,34 @@ def outcome(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples() -> list:
+    """Each ``partlogic`` line of README's "Command line" block: its argv, exit code and quoted output.
+
+    A comment ``exit N: text`` states the exit code and quotes ``text``;
+    a comment that is a partition literal quotes it with exit 0; any
+    other comment describes the output and states exit 0.
+    """
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if not line.startswith("partlogic "):
+            continue
+        command, _, comment = line.partition("#")
+        code, text = re.fullmatch(r"\s*(?:exit (\d+): )?(.*?)\s*", comment).groups()
+        quoted = text if code or text.startswith("{") else ""
+        argv = shlex.split(command)[1:]
+        examples.append(pytest.param(argv, int(code or 0), quoted, id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize("argv, code, quoted", readme_examples())
+def test_readme_example(capsys, argv, code, quoted):
+    got, out, err = outcome(capsys, argv)
+    assert (got, err) == (code, "")
+    assert quoted in out
 
 
 @pytest.mark.parametrize("argv", [["table", "join", "0"], ["table", "meet", "-3"],

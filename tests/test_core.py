@@ -84,6 +84,15 @@ class TestConstructors:
             Partition.discrete(0)
         with pytest.raises(ValueError, match="at least one element"):
             Partition.indiscrete(0)
+        # entries must be integers (bool is not), and a list given is kept as a tuple
+        for rgs in [(0, 1.0), (0, "1"), (0, None), (False, True)]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                Partition(2, rgs)
+        labels = [0, 0, 1]
+        p = Partition(3, labels)
+        labels.append(5)
+        assert p.rgs == (0, 0, 1) and p == Partition(3, (0, 0, 1))
+        assert hash(p) == hash(Partition(3, (0, 0, 1))) and str(p) == "{{0,1},{2}}"
 
     @given(partitions(max_n=6))
     def test_round_trip_blocks(self, p):

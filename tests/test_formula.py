@@ -536,13 +536,15 @@ class TestRefuter:
         assert calls[0] == before
 
     def test_a_warm_level_computes_nothing_twice(self, monkeypatch, cold_levels):
+        # 0 -> 0 depends on no variable; it is read from the memo like any step.
         calls = self._count_implications(monkeypatch)
         syllogism = pi_negation_transform(parse("(s -> p) -> ((p -> q) -> (s -> q))"), "z")
-        assert find_partition_counterexample(syllogism, max_n=4) is None
-        assert calls[0] > 0
-        cold = calls[0]
-        assert find_partition_counterexample(syllogism, max_n=4) is None
-        assert calls[0] == cold
+        for f in (syllogism, parse("(0 -> 0) -> (s -> s)")):
+            assert find_partition_counterexample(f, max_n=4) is None
+            assert calls[0] > 0
+            cold = calls[0]
+            assert find_partition_counterexample(f, max_n=4) is None
+            assert calls[0] == cold
 
     @staticmethod
     def _relabel(p, g):
@@ -607,6 +609,8 @@ class TestRefuter:
             monkeypatch.setattr(f"partlogic.formula.{name}", value)
         assert [find_partition_counterexample(f, max_n=4) for f in corpus] == expected
         assert [find_partition_counterexample(f, max_n=4) for f in reversed(corpus)] == expected[::-1]
+        # The one writer keeps every memo within its bound.
+        assert all(len(formula._level(n).memo) <= formula._MEMO_LIMIT for n in range(2, 5))
 
     @pytest.mark.parametrize("text, reduced", [("(s -> z) /\\ (s -> p)", []),
                                                ("s -> s", []),

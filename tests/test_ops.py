@@ -19,8 +19,7 @@ from partlogic import (
     negation,
     refines,
 )
-from partlogic import algebra, ops
-from partlogic.ops import _discretize
+from partlogic.algebra import boolean_core
 
 from conftest import partition_pairs, partition_triples
 
@@ -189,20 +188,21 @@ class TestNegation:
 
     def test_core_ends_are_returned_without_building(self, monkeypatch):
         # Over all pairs at n=6, only the answers strictly inside the core of
-        # pi reach _discretize; the rest come back as pi or the shared discrete.
+        # pi build a partition; the rest come back as pi or the shared discrete.
         built = []
+        production = Partition.from_labels
 
-        def counted(pi, whole):
-            built.append(pi)
-            return _discretize(pi, whole)
+        def counted(labels):
+            built.append(labels)
+            return production(labels)
 
-        monkeypatch.setattr(ops, "_discretize", counted)
-        monkeypatch.setattr(algebra, "_discretize", counted)
+        monkeypatch.setattr(Partition, "from_labels", staticmethod(counted))
         parts = all_parts(6)
         top = Partition.discrete(6)
+        # A discrete pi is its own core: both ends are the shared discrete.
         for op, expected in [
             (implication_blocks, {"built": 9470, "pi": 29268, "discrete": 2471}),
-            (double_pi_negation, {"built": 9470, "pi": 2471, "discrete": 29268}),
+            (double_pi_negation, {"built": 9470, "pi": 2268, "discrete": 29471}),
         ]:
             built.clear()
             seen = {"built": 0, "pi": 0, "discrete": 0}
@@ -212,6 +212,14 @@ class TestNegation:
                     seen["pi" if result is pi else "discrete" if result is top else "built"] += 1
             assert seen == expected
             assert len(built) == expected["built"]
+        # The cores hold 755 members.  Their ends are not built; each of the
+        # 350 strictly inside is built, then again by its round-trip check.
+        built.clear()
+        cores = [boolean_core(pi) for pi in parts]
+        assert sum(map(len, cores)) == 755
+        assert len(built) == 2 * (755 - 2 * len(parts) + 1) == 700
+        for pi, core in zip(parts, cores):
+            assert core.bottom is (pi if pi != top else top) and core.top is top
 
 
 class TestGraphMethod:
