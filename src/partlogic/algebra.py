@@ -12,11 +12,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .core import Partition, _Value, _require_same_universe, _set_field, refines
-from .ops import _discretize, _straddling, implication_blocks, join, meet
+from .core import Partition, _Value, _require_same_universe, _set_field, _straddling, refines
+from .ops import _discretize, implication_blocks, join, meet
 
-MAX_CORE_BLOCKS = 14
-# Members times elements a core may hold: a core of 14 blocks fits 32 elements.
+# Members times elements a core may hold.  k non-singleton blocks need at
+# least 2k elements, so the bound admits at most 14 blocks, and 14 fit 32 elements.
 MAX_CORE_ENTRIES = 1 << 19
 
 
@@ -63,14 +63,11 @@ def boolean_core(pi: Partition) -> BooleanCore:
     Builds one member per subset of the non-singleton blocks and checks
     each member is a double-negation fixed point.  The discrete
     partition has no non-singleton blocks, so its core is the
-    one-element algebra.  A core of more than ``MAX_CORE_BLOCKS``
-    blocks, or of more than ``MAX_CORE_ENTRIES`` entries over all its
-    members, is refused.
+    one-element algebra.  A core of more than ``MAX_CORE_ENTRIES``
+    entries over all its members is refused.
     """
     ns_labels = [b for b, block in enumerate(pi.blocks) if len(block) > 1]
     k = len(ns_labels)
-    if k > MAX_CORE_BLOCKS:
-        raise ValueError(f"core would have 2**{k} members, past the bound 2**{MAX_CORE_BLOCKS}")
     if pi.n << k > MAX_CORE_ENTRIES:
         raise ValueError(
             f"core would have 2**{k} members of {pi.n} elements, past the bound of {MAX_CORE_ENTRIES} entries"

@@ -60,6 +60,15 @@ def _require_same_universe(a, b) -> None:
         raise ValueError(f"universe size mismatch: {a.n} != {b.n}")
 
 
+def _universe(n: int) -> int:
+    """Return ``n`` once it is a usable universe size: an ``int``, not a ``bool``, at least 1."""
+    if type(n) is not int:
+        raise ValueError(f"universe size {n!r} is not an integer")
+    if n < 1:
+        raise ValueError("universe must contain at least one element")
+    return n
+
+
 def _equivalence_bits(labels: Sequence[Hashable]) -> int:
     """Relation bits pairing every two elements of ``0..n-1`` that carry equal labels."""
     n = len(labels)
@@ -115,8 +124,9 @@ class BinaryRelation(_Value):
     bits: int
 
     def __init__(self, n: int, bits: int):
-        if n < 1:
-            raise ValueError("universe must contain at least one element")
+        _universe(n)
+        if type(bits) is not int:
+            raise ValueError(f"relation bits {bits!r} are not an integer")
         if bits < 0 or bits >> (n * n):
             raise ValueError("relation contains a pair outside the universe")
         _set_field(self, "n", n)
@@ -140,7 +150,7 @@ class BinaryRelation(_Value):
 
     @classmethod
     def identity(cls, n: int) -> "BinaryRelation":
-        return cls(n, _diagonal_bits(n) if n > 0 else 0)  # the constructor rejects n < 1
+        return cls._trusted(_universe(n), _diagonal_bits(n))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self._rows()):
@@ -228,9 +238,7 @@ class Partition(_Value):
     rgs: tuple[int, ...]
 
     def __init__(self, n: int, rgs: tuple[int, ...]):
-        if n < 1:
-            raise ValueError("universe must contain at least one element")
-        if len(rgs) != n:
+        if len(rgs) != _universe(n):
             raise ValueError(f"rgs length {len(rgs)} does not match universe size {n}")
         peak = -1
         for i, b in enumerate(rgs):
@@ -287,7 +295,7 @@ class Partition(_Value):
         block_lists = [sorted(block) for block in blocks]
         if not block_lists:
             raise ValueError("partition needs at least one block")
-        labels: list[int | None] = [None] * n
+        labels: list[int | None] = [None] * _universe(n)
         for i, block in enumerate(block_lists):
             if not block:
                 raise ValueError(f"empty block at position {i}")
@@ -305,10 +313,8 @@ class Partition(_Value):
     @classmethod
     def from_labels(cls, labels: Sequence[Hashable]) -> "Partition":
         """Group equal labels into blocks and canonicalize."""
-        if not labels:
-            raise ValueError("universe must contain at least one element")
         index: dict[Hashable, int] = {}
-        return cls._canonical(len(labels), tuple([index.setdefault(lab, len(index)) for lab in labels]))
+        return cls._canonical(_universe(len(labels)), tuple([index.setdefault(lab, len(index)) for lab in labels]))
 
     @classmethod
     def from_equivalence(cls, relation: BinaryRelation) -> "Partition":
@@ -352,18 +358,33 @@ class Partition(_Value):
 def refines(sigma: Partition, pi: Partition) -> bool:
     """True when ``pi`` refines ``sigma``, written ``sigma <= pi`` in the refinement order.
 
-    Every block of ``pi`` must lie inside a single block of ``sigma``;
-    equivalently the distinctions of ``sigma`` are among those of ``pi``.
+    No block of ``pi`` may straddle ``sigma``, the scan the block rule of
+    implication reads: every block of ``pi`` lies inside a single block of
+    ``sigma``, so the distinctions of ``sigma`` are among those of ``pi``.
     The indiscrete partition is below everything and the discrete
     partition is the top.
     """
     _require_same_universe(sigma, pi)
-    seen: dict[int, int] = {}
-    for u in range(pi.n):
-        s = sigma.rgs[u]
-        if seen.setdefault(pi.rgs[u], s) != s:
-            return False
-    return True
+    return not _straddling(sigma, pi)[0]
+
+
+def _straddling(sigma: Partition, pi: Partition) -> tuple[set[int], set[int]]:
+    """The labels of the blocks of ``pi`` that straddle ``sigma``, and of those with two or more elements.
+
+    A block straddles when it meets two blocks of ``sigma``, so the
+    first set lies inside the second.  Reads only the two rgs tuples.
+    """
+    first: dict[int, int] = {}
+    straddling: set[int] = set()
+    repeated: set[int] = set()
+    for s, b in zip(sigma.rgs, pi.rgs):
+        if b in first:
+            repeated.add(b)
+            if first[b] != s:
+                straddling.add(b)
+        else:
+            first[b] = s
+    return straddling, repeated
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -375,9 +396,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     can still grow is found without rescanning a prefix.  Nothing is
     cached; every call yields fresh ``Partition`` objects.
     """
-    if n < 1:
-        raise ValueError("universe must contain at least one element")
-    rgs = [0] * n
+    rgs = [0] * _universe(n)
     peak = [0] * n
     while True:
         yield Partition._canonical(n, tuple(rgs))

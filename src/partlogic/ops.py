@@ -19,6 +19,7 @@ from .core import (
     _diagonal_bits,
     _require_same_universe,
     _set_field,
+    _straddling,
     enumerate_partitions,
 )
 
@@ -98,25 +99,6 @@ def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
     _require_same_universe(sigma, pi)
     straddling, repeated = _straddling(sigma, pi)
     return _discretize(pi, straddling, repeated)
-
-
-def _straddling(sigma: Partition, pi: Partition) -> tuple[set[int], set[int]]:
-    """The labels of the blocks of ``pi`` that straddle ``sigma``, and of those with two or more elements.
-
-    A block straddles when it meets two blocks of ``sigma``, so the
-    first set lies inside the second.  Reads only the two rgs tuples.
-    """
-    first: dict[int, int] = {}
-    straddling: set[int] = set()
-    repeated: set[int] = set()
-    for s, b in zip(sigma.rgs, pi.rgs):
-        if b in first:
-            repeated.add(b)
-            if first[b] != s:
-                straddling.add(b)
-        else:
-            first[b] = s
-    return straddling, repeated
 
 
 def _discretize(pi: Partition, whole: set[int], repeated: set[int]) -> Partition:

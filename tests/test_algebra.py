@@ -15,6 +15,7 @@ from partlogic import (
     meet,
     refines,
 )
+from partlogic.algebra import MAX_CORE_ENTRIES
 
 
 def all_parts(n):
@@ -101,6 +102,13 @@ class TestBooleanCore:
             core_to_subset(core, outsider)
         with pytest.raises(ValueError, match="out of range"):
             core_from_subset(core, [5])
+
+    def test_entry_bound_refuses_every_core_of_15_blocks(self):
+        # k non-singleton blocks need at least 2k elements, so the entry
+        # bound alone refuses what a bound of 14 blocks would; no core is built.
+        for k in range(21):
+            for n in range(max(1, 2 * k), 2 * k + 65):
+                assert (k > 14 or n << k > MAX_CORE_ENTRIES) == (n << k > MAX_CORE_ENTRIES)
 
 
 class TestNegationIdentities:

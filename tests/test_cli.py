@@ -280,10 +280,12 @@ class TestCore:
         fifteen_pairs = "rgs:" + ",".join(str(u // 2) for u in range(30))
         code, out, err = run(capsys, "core", fifteen_pairs, "--format", "json")
         assert code == 2 and out == ""
-        assert err.splitlines() == ["error: core would have 2**15 members, past the bound 2**14"]
+        assert err.splitlines() == [
+            "error: core would have 2**15 members of 30 elements, past the bound of 524288 entries"
+        ]
 
     def test_entry_bound(self, capsys):
-        # 14 blocks pass the member bound, but not over 400 elements.
+        # 14 blocks fit the entry bound over at most 32 elements, not over 400.
         long_tail = "rgs:" + ",".join(str(u // 2 if u < 28 else u - 14) for u in range(400))
         code, out, err = run(capsys, "core", long_tail)
         assert (code, out) == (2, "")

@@ -5,7 +5,17 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from partlogic import BinaryRelation, Partition, all_binary_ops, enumerate_partitions, meet, refines, retained_links
+from partlogic import (
+    BinaryRelation,
+    Partition,
+    all_binary_ops,
+    enumerate_partitions,
+    implication_blocks,
+    join,
+    meet,
+    refines,
+    retained_links,
+)
 from partlogic.core import _component_labels, _diagonal_bits
 
 from conftest import (
@@ -88,6 +98,15 @@ class TestConstructors:
         for rgs in [(0, 1.0), (0, "1"), (0, None), (False, True)]:
             with pytest.raises(ValueError, match="is not an integer"):
                 Partition(2, rgs)
+        # so must the universe size, wherever one is given
+        for make in [
+            lambda: Partition(2.0, (0, 1)),
+            lambda: Partition(True, (0,)),
+            lambda: Partition.from_blocks([[0, 1]], 2.0),
+            lambda: next(enumerate_partitions(2.0)),
+        ]:
+            with pytest.raises(ValueError, match="universe size .* is not an integer"):
+                make()
         labels = [0, 0, 1]
         p = Partition(3, labels)
         labels.append(5)
@@ -146,6 +165,12 @@ class TestRelations:
             with pytest.raises(ValueError) as err:
                 BinaryRelation(2, bits)
             assert str(err.value) == "relation contains a pair outside the universe"
+        for make in [lambda: BinaryRelation(2.0, 3), lambda: BinaryRelation.identity(2.0)]:
+            with pytest.raises(ValueError, match="universe size 2.0 is not an integer"):
+                make()
+        for bits in (True, 2.5):
+            with pytest.raises(ValueError, match="relation bits .* are not an integer"):
+                BinaryRelation(3, bits)
 
     def test_pairs_outside_the_universe_are_not_members(self):
         full = universal_relation(2)
@@ -377,6 +402,14 @@ class TestRefinement:
     def test_mismatched_universes(self):
         with pytest.raises(ValueError, match="mismatch"):
             refines(Partition.discrete(3), Partition.discrete(4))
+
+    @given(partition_pairs(min_n=7, max_n=12))
+    def test_matches_ditset_inclusion_and_top_implication(self, pair):
+        # Past the exhaustive sizes, and on pairs that refine as well as random ones.
+        s, p = pair
+        top = Partition.discrete(s.n)
+        for sigma, pi in [(s, p), (meet(s, p), p), (s, join(s, p))]:
+            assert refines(sigma, pi) == (sigma.ditset <= pi.ditset) == (implication_blocks(sigma, pi) == top)
 
     @given(partition_pairs(max_n=6))
     def test_antisymmetry(self, pair):
