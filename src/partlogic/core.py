@@ -273,16 +273,14 @@ class Partition(_Value):
         return NotImplemented
 
     @classmethod
-    @cache
     def discrete(cls, n: int) -> "Partition":
-        """The partition of all singletons, top of the refinement order."""
-        return cls(n, tuple(range(n)))
+        """The partition of all singletons, top of the refinement order; one per size."""
+        return _discrete(cls, _universe(n))
 
     @classmethod
-    @cache
     def indiscrete(cls, n: int) -> "Partition":
-        """The one-block partition, bottom of the refinement order."""
-        return cls(n, (0,) * n)
+        """The one-block partition, bottom of the refinement order; one per size."""
+        return _indiscrete(cls, _universe(n))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
@@ -353,6 +351,12 @@ class Partition(_Value):
 
     def __str__(self) -> str:
         return "{" + ",".join("{" + ",".join(str(u) for u in block) + "}" for block in self.blocks) + "}"
+
+
+# The shared ends of each size, cached on sizes that ``_universe`` has
+# checked: ``2.0 == 2`` and ``True == 1`` would otherwise hit the cache.
+_discrete = cache(lambda cls, n: cls._canonical(n, tuple(range(n))))
+_indiscrete = cache(lambda cls, n: cls._canonical(n, (0,) * n))
 
 
 def refines(sigma: Partition, pi: Partition) -> bool:

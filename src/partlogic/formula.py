@@ -352,10 +352,11 @@ def eval_partition(f: Formula, assignment: Assignment) -> Partition:
 def is_subset_tautology(f: Formula) -> bool:
     """True when the formula holds under every classical truth assignment.
 
-    The refuter's n=2 level is the truth table: the indiscrete and
-    discrete partitions of a 2-set are False and True.  Raises
-    ``ValueError`` for a formula of more than ``MAX_TAUTOLOGY_VARS``
-    variables, as :func:`find_partition_counterexample` does.
+    The refuter's n=2 level is the truth table, evaluated bit-parallel:
+    the indiscrete and discrete partitions of a 2-set are False and
+    True.  Raises ``ValueError`` for a formula of more than
+    ``MAX_TAUTOLOGY_VARS`` variables, as
+    :func:`find_partition_counterexample` does.
     """
     return find_partition_counterexample(f, max_n=2) is None
 
@@ -486,8 +487,6 @@ class _Level:
         though neither of its factors does.
         """
         n, tails = self.n, self.tails
-        if n < 3:
-            return []  # every relabelling fixes both partitions of a 2-set
         cuts = [(a, a + length, a + 2 * length)
                 for length in range(1, n // 2 + 1) for a in range(n - 2 * length + 1)]
         rows = [array("I") for _ in cuts]
@@ -565,7 +564,8 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
     ``d``, ``runs[d + 1]``.  A connective on indices, like a list of
     preimages, is computed once by ``_Level.fill`` and read from the
     level's memo after that, in this scan and in every later one at the
-    same size.
+    same size.  It runs on levels from n=3, for formulas with at least
+    one variable; n=2 is ``_truth_table``.
 
     ``sources[d]`` says where loop ``d`` takes its values.  ``None``
     prunes them by relabelling: a permutation ``g`` maps
@@ -630,9 +630,50 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
             slots[out] = memo[key]
         except KeyError:
             slots[out] = level.fill(key)
-    if not k:
-        return () if slots[-1] != top else None
     return tuple(values) if descend(0, level.swaps if None in sources[1:] else []) else None
+
+
+# The truth table takes at most ``2**_CHUNK_BITS`` rows in one pass.
+_CHUNK_BITS = 12
+
+
+@functools.cache
+def _bitsets(inner: int) -> tuple[int, dict[type, object], tuple[int, ...]]:
+    """The set of all ``2**inner`` rows, the algebra on sets of rows, and a mask per variable.
+
+    Row ``r`` gives variable ``i`` bit ``inner-1-i`` of ``r``, so mask
+    ``i`` repeats ``h`` clear bits and then ``h`` set ones, with
+    ``h = 2**(inner-1-i)``.
+    """
+    full = (1 << (1 << inner)) - 1
+    algebra = {Const0: 0, Const1: full, And: operator.and_, Or: operator.or_, Implies: lambda a, b: full ^ a | b}
+    return full, algebra, tuple(full // ((1 << h) + 1) << h for h in (1 << b for b in reversed(range(inner))))
+
+
+def _truth_table(steps: list[tuple], k: int) -> tuple[int, ...] | None:
+    """The least falsifying row of the n=2 level as indices (0 False, 1 True), or ``None``.
+
+    Each value is a set of rows, an int with bit ``r`` for row ``r``.
+    Row ``r`` gives variable ``i`` bit ``k-1-i`` of ``r``, the first
+    sorted name most significant as in the scan, so the lowest set bit
+    of ``full ^ root`` is the lex-least falsifying row.  The last
+    ``_CHUNK_BITS`` variables, or all of them, are masks over the rows
+    of a chunk; the others are constants, 0 or ``full``, for the chunk,
+    whose number counts them up in order.  So memory stays at one chunk
+    per step, and a non-tautology stops at the chunk of its first
+    falsifying row.
+    """
+    inner = min(k, _CHUNK_BITS)
+    outer = k - inner
+    full, algebra, masks = _bitsets(inner)
+    for chunk in range(1 << outer):
+        values = [full * (chunk >> i & 1) for i in reversed(range(outer))]
+        values += masks
+        falsified = full ^ _evaluate(steps, algebra, values)
+        if falsified:
+            row = chunk << inner | (falsified & -falsified).bit_length() - 1
+            return tuple(row >> i & 1 for i in reversed(range(k)))
+    return None
 
 
 def find_partition_counterexample(
@@ -648,11 +689,13 @@ def find_partition_counterexample(
     runs.  ``None`` means no counterexample up to ``max_n``, which is a
     bounded verdict, not a validity proof.
 
-    The formula is compiled once and every level, n=2 included, can run
-    the same scan in name order: at n=2 the indiscrete partition
+    The formula is compiled once.  At n=2 the indiscrete partition
     precedes the discrete one as False precedes True, so that level is
-    the truth table.  A closed formula stops there: the two constants
-    form the same two-element Boolean algebra at every larger size.
+    the truth table, evaluated bit-parallel by ``_truth_table``: every
+    step once per chunk of up to ``2**_CHUNK_BITS`` rows.  A closed
+    formula stops there: the two constants form the same two-element
+    Boolean algebra at every larger size.  Levels n>=3 run ``_scan``,
+    and the schedules it takes are built on the first of them.
 
     From n=3 a formula with a reducible variable (see ``_schedule``),
     such as each ``v`` of a relativized ``v -> z`` or one that occurs
@@ -665,8 +708,10 @@ def find_partition_counterexample(
     it returns the lex-least counterexample; a tautology never pays for
     it.
 
-    Raises ``ValueError`` for a formula of more than
-    ``MAX_TAUTOLOGY_VARS`` variables before scanning anything, and
+    Raises ``ValueError`` when ``max_n`` or ``budget`` is not an
+    ``int`` (a ``bool`` is not), when ``max_n < 2`` or ``budget < 1``,
+    and for a formula of more than ``MAX_TAUTOLOGY_VARS`` variables,
+    all before scanning anything, and
     :class:`SearchBudgetExceeded` before scanning any level whose
     assignment count passes ``budget``.  Each size's ``_Level`` is built
     once per process and kept: partitions are addressed by index, its
@@ -675,14 +720,16 @@ def find_partition_counterexample(
     more variables by relabelling, where Bell(n)**2 <= ``budget`` bounds
     them.
     """
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
+    for name, value, least in (("max_n", max_n, 2), ("budget", budget, 1)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}")
     names, steps = _compile(f)
     k = len(names)
     if k > MAX_TAUTOLOGY_VARS:
         raise ValueError(f"formula has {k} variables, past the bound {MAX_TAUTOLOGY_VARS}")
-    by_name, reducible = _schedule(steps, k, {})
-    by_core = None
+    by_name = None
     for n in range(2, (max_n if names else 2) + 1):
         level = _level(n)
         count = level.size ** k
@@ -690,12 +737,15 @@ def find_partition_counterexample(
             raise SearchBudgetExceeded(
                 f"level n={n} needs {count} assignments, past the budget {budget}"
             )
-        if n > 2 and reducible:
-            if by_core is None:
-                by_core, _ = _schedule(steps, k, reducible)
-            if _scan(level, steps, by_core) is None:
+        if n == 2:
+            hit = _truth_table(steps, k)
+        else:
+            if by_name is None:
+                by_name, reducible = _schedule(steps, k, {})
+                by_core = _schedule(steps, k, reducible)[0] if reducible else None
+            if by_core and _scan(level, steps, by_core) is None:
                 continue
-        hit = _scan(level, steps, by_name)
+            hit = _scan(level, steps, by_name)
         if hit is not None:
             return Assignment(n, {name: level.partition(i) for name, i in zip(names, hit)})
     return None

@@ -17,6 +17,7 @@ from .core import (
     _Value,
     _component_labels,
     _diagonal_bits,
+    _discrete,
     _require_same_universe,
     _set_field,
     _straddling,
@@ -112,7 +113,7 @@ def _discretize(pi: Partition, whole: set[int], repeated: set[int]) -> Partition
     no block of ``pi`` uses, and ``from_labels`` canonicalizes the result.
     """
     if not whole:
-        return Partition.discrete(pi.n)
+        return _discrete(Partition, pi.n)  # pi.n is a checked size
     if len(whole) == len(repeated):
         return pi
     return Partition.from_labels([b if b in whole else -1 - u for u, b in enumerate(pi.rgs)])

@@ -92,6 +92,13 @@ class TestCheck:
         assert code == 2
         assert "budget" in err
 
+    def test_wide_tautology_passes_n2_and_exits_two_at_n3(self, capsys):
+        # the truth table of 2**20 rows holds; the n=3 level is refused up front
+        wide = " \\/ ".join(["(v0 \\/ ~v0)"] + [f"v{i}" for i in range(1, 20)])
+        code, out, err = run(capsys, "check", wide)
+        assert (code, out) == (2, "")
+        assert err == f"error: level n=3 needs {5**20} assignments, past the budget {10**8}\n"
+
     def test_bad_flags_exit_two(self, capsys):
         code, _, err = run(capsys, "check", "s", "--max-size", "1")
         assert (code, err) == (2, "error: --max-size must be at least 2\n")

@@ -98,12 +98,18 @@ class TestConstructors:
         for rgs in [(0, 1.0), (0, "1"), (0, None), (False, True)]:
             with pytest.raises(ValueError, match="is not an integer"):
                 Partition(2, rgs)
-        # so must the universe size, wherever one is given
+        # so must the universe size, wherever one is given; the shared ends
+        # check it before their cache, which equal sizes 2 and 1 have warmed
+        assert Partition.discrete(2).n == 2 and Partition.indiscrete(1).n == 1
         for make in [
             lambda: Partition(2.0, (0, 1)),
             lambda: Partition(True, (0,)),
             lambda: Partition.from_blocks([[0, 1]], 2.0),
             lambda: next(enumerate_partitions(2.0)),
+            lambda: Partition.discrete(2.0),
+            lambda: Partition.indiscrete(True),
+            lambda: Partition.indiscrete(1.0),
+            lambda: Partition.discrete(37.0),
         ]:
             with pytest.raises(ValueError, match="universe size .* is not an integer"):
                 make()

@@ -670,6 +670,19 @@ class TestRefuter:
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="max_n"):
             find_partition_counterexample(parse("s"), max_n=1)
+        # both bounds must be ints (a bool is not), and the budget positive
+        for kwargs, message in [({"max_n": 3.0}, "max_n must be an integer"),
+                                ({"max_n": True}, "max_n must be an integer"),
+                                ({"max_n": "3"}, "max_n must be an integer"),
+                                ({"budget": 10.0**8}, "budget must be an integer"),
+                                ({"budget": True}, "budget must be an integer"),
+                                ({"budget": None}, "budget must be an integer"),
+                                ({"budget": 0}, "budget must be at least 1"),
+                                ({"budget": -5}, "budget must be at least 1")]:
+            with pytest.raises(ValueError, match=message):
+                find_partition_counterexample(parse("s"), **kwargs)
+        # the smallest budget still runs a level that fits it
+        assert find_partition_counterexample(parse("1"), budget=1) is None
 
     def test_variable_bound(self):
         # The refuter owns the bound: a scan of the 2**21 truth-table rows is
@@ -696,6 +709,61 @@ class TestRefuter:
                 assert cex is None or cex.n == 2
                 checked += cex is not None
         assert checked > 1000
+
+
+class TestTruthTable:
+    @pytest.mark.parametrize("chunk_bits", [0, 1, formula._CHUNK_BITS])
+    def test_matches_the_n2_scan_and_the_oracle(self, monkeypatch, chunk_bits):
+        # With chunks of one or two rows a hit in a later chunk must still
+        # be the lex-least row.
+        monkeypatch.setattr(formula, "_CHUNK_BITS", chunk_bits)
+        rng = random.Random(22)
+        atoms = [Const0(), Const1()] + [Var(name) for name in "abcdef"]
+        refuted = 0
+        for i in range(400):
+            g = grow(rng, rng.randint(1, 14), atoms[:rng.randint(3, 8)])
+            f = Or(g, Not(g)) if i % 4 == 0 else g
+            names, steps = formula._compile(f)
+            by_name, _ = formula._schedule(steps, len(names), {})
+            hit = formula._truth_table(steps, len(names))
+            # the scan needs a variable to bind; a closed formula has the oracle alone
+            assert not names or hit == formula._scan(formula._level(2), steps, by_name)
+            assert (hit is None) == oracle_is_tautology(f)
+            refuted += hit is not None
+        assert 100 < refuted < 300
+
+    def test_no_scan_and_no_schedule_at_n2(self, monkeypatch):
+        seen = []
+        production = formula._scan
+
+        def scan(level, steps, schedule):
+            seen.append(level.n)
+            return production(level, steps, schedule)
+
+        monkeypatch.setattr(formula, "_scan", scan)
+        corpus = [parse(text) for _, text in CLASSICAL_TAUTOLOGIES + NON_TAUTOLOGIES]
+        corpus += [pi_negation_transform(f, "z") for f in corpus] + [parse("0"), parse("1")]
+        results = [find_partition_counterexample(f, max_n=3) for f in corpus]
+        assert any(cex is not None and cex.n == 2 for cex in results)
+        assert seen and 2 not in seen
+        # a formula decided at n=2 builds no schedule
+        monkeypatch.setattr(formula, "_schedule", None)
+        assert find_partition_counterexample(parse("s /\\ ~s"), max_n=4).n == 2
+        assert is_subset_tautology(parse("s \\/ ~s"))
+
+    def test_twenty_variables_in_bounded_memory(self):
+        rng = random.Random(20)
+        atoms = [Var(f"v{i}") for i in range(1, 20)]
+        f = Or(Or(Var("v0"), Not(Var("v0"))), grow(rng, 4000, atoms))
+        names, steps = formula._compile(f)
+        assert len(names) == 20 and len(steps) > 3000
+        tracemalloc.start()
+        try:
+            assert is_subset_tautology(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestCensus:
