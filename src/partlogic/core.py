@@ -286,11 +286,11 @@ class Partition(_Value):
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
         """Build the canonical partition with the given blocks.
 
-        Blocks must be non-empty, pairwise disjoint, and cover the
-        universe exactly; violations raise ``ValueError`` naming the
-        failed condition.
+        Elements must be ``int`` (a ``bool`` is not), and blocks
+        non-empty, pairwise disjoint, and cover the universe exactly;
+        violations raise ``ValueError`` naming the failed condition.
         """
-        block_lists = [sorted(block) for block in blocks]
+        block_lists = [list(block) for block in blocks]
         if not block_lists:
             raise ValueError("partition needs at least one block")
         labels: list[int | None] = [None] * _universe(n)
@@ -298,6 +298,9 @@ class Partition(_Value):
             if not block:
                 raise ValueError(f"empty block at position {i}")
             for e in block:
+                if type(e) is not int:
+                    raise ValueError(f"element {e!r} is not an integer")
+            for e in sorted(block):
                 if not (0 <= e < n):
                     raise ValueError(f"element {e} out of range for universe size {n}")
                 if labels[e] is not None:

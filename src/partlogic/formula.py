@@ -203,7 +203,8 @@ def parse(text: str) -> Formula:
 # How each connective prints: its precedence, its symbol, and the least
 # precedence its left and right operands print at without parentheses
 # (``None`` on the left of the prefix ``~``).  A binary operand on the side
-# its connective does not group to needs a tighter precedence.
+# its connective does not group to needs a tighter precedence.  Its keys and
+# ``Var``, ``Const0``, ``Const1`` are the node classes, matched by exact type.
 _LAYOUT = {Not: (4, "~", None, 4)} | {
     node: (precedence, symbol, precedence + right, precedence + (not right))
     for precedence, right, node, symbol in _BINARY.values()
@@ -224,17 +225,15 @@ def format_formula(f: Formula) -> str:
             pieces.append(item)
             continue
         node, minimum = item
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is Var:
             pieces.append(node.name)
-        elif isinstance(node, Const0):
-            pieces.append("0")
-        elif isinstance(node, Const1):
-            pieces.append("1")
+        elif kind is Const0 or kind is Const1:
+            pieces.append("0" if kind is Const0 else "1")
+        elif kind not in _LAYOUT:
+            raise TypeError(f"not a formula node: {kind.__name__}")
         else:
-            layout = _LAYOUT.get(type(node))
-            if layout is None:
-                raise TypeError(f"not a formula node: {type(node).__name__}")
-            precedence, symbol, left, right = layout
+            precedence, symbol, left, right = _LAYOUT[kind]
             if precedence < minimum:
                 pieces.append("(")
                 todo.append(")")
@@ -288,24 +287,24 @@ def _compile(f: Formula) -> tuple[tuple[str, ...], list[tuple]]:
         node = todo.pop()
         if node is _PLACED:
             node = todo.pop()
-            if isinstance(node, Not):
+            if type(node) is Not:
                 key = (Implies, placed[id(node.child)], steps.setdefault((Const0, None, None), len(steps)))
             else:
                 key = (type(node), placed[id(node.left)], placed[id(node.right)])
         elif id(node) in placed:
             continue
-        elif isinstance(node, Var):
+        elif (kind := type(node)) is Var:
             key = (Var, node.name, None)
-        elif isinstance(node, (Const0, Const1)):
-            key = (type(node), None, None)
-        elif isinstance(node, Not):
+        elif kind is Const0 or kind is Const1:
+            key = (kind, None, None)
+        elif kind is Not:
             todo += node, _PLACED, node.child
             continue
-        elif isinstance(node, (And, Or, Implies)):
+        elif kind in _LAYOUT:
             todo += node, _PLACED, node.right, node.left
             continue
         else:
-            raise TypeError(f"not a formula node: {node!r}")
+            raise TypeError(f"not a formula node: {kind.__name__}")
         placed[id(node)] = steps.setdefault(key, len(steps))
     # Variable steps were keyed by name; number the names once they are sorted.
     names = tuple(sorted(a for kind, a, _ in steps if kind is Var))
@@ -513,59 +512,65 @@ def _rank(tails: list[list[int]], labels: Sequence) -> int:
     return index
 
 
-def _schedule(steps: list[tuple], k: int, cores: Mapping[int, int]) -> tuple[tuple, dict]:
-    """Assign each connective step to the loop that must run it.
+def _schedule(steps: list[tuple], k: int) -> tuple[tuple, tuple | None]:
+    """The schedules ``_scan`` takes for the name-order and the core-image scan.
 
-    The loops bind the ``k`` variables not in ``cores`` by name, the
-    first sorted name outermost, then those in ``cores`` in its order.
-    A step's depth is the loop of the last-bound variable it depends
-    on, -1 when it depends on none.  Returns the schedule ``_scan``
-    takes and the reducible variables in the order of their ``Implies``
-    steps, each mapped to the slot of its right operand.  The schedule
-    holds the slot of each loop's variable step, each loop's source of
-    values (the slot ``cores`` maps its variable to, or ``None``) and,
-    at ``runs[d + 1]``, the steps of depth ``d`` as ``(slot, kind, a, b)``.
+    Each binds the ``k`` variables in nested loops and runs each
+    connective step in the loop of the last-bound variable it depends
+    on, loop 0 when it depends on none.  It holds the slot of each
+    loop's variable step, each loop's source of values (a slot, or
+    ``None``) and, at ``runs[d]``, loop ``d``'s steps as
+    ``(slot, kind, a, b)``.  The first binds the variables by name, the
+    first sorted name outermost.  The second, ``None`` when no variable
+    is reducible, binds the others first, by name, then each reducible
+    one in the order of its ``Implies`` step, from that step's right
+    operand.
 
     A variable is reducible when its one use is as the left operand of
     an ``Implies`` step, so the formula sees ``v`` only through
-    ``v -> r``.  The same pass counts the uses of each step.  Its right
-    operand ``r`` cannot depend on ``v``: that would take a second use,
-    by a step under ``r`` or, when ``r`` is ``v``, by the same step.
+    ``v -> r``; the uses of each step are counted once, for both
+    schedules.  ``r`` cannot depend on ``v``: that would take a second
+    use, by a step under ``r`` or, when ``r`` is ``v``, by the same step.
     """
-    order = [v for v in range(k) if v not in cores] + list(cores)
-    depths: list[int] = []
     uses = [0] * len(steps)
-    lefts = {}
-    var_slots = [0] * k
-    runs: list[list[tuple]] = [[] for _ in range(k + 1)]
-    for slot, (kind, a, b) in enumerate(steps):
-        if kind is Var:
-            depth = order.index(a)
-            var_slots[depth] = slot
-        elif a is None:
-            depth = -1
-        else:
-            depth = max(depths[a], depths[b])
-            runs[depth + 1].append((slot, kind, a, b))
+    for _, a, b in steps:
+        if b is not None:  # a connective; variable and constant steps have no right operand
             uses[a] += 1
             uses[b] += 1
-            if kind is Implies:
-                lefts[a] = b
-        depths.append(depth)
-    reducible = {steps[a][1]: b for a, b in lefts.items() if uses[a] == 1 and a in var_slots}
-    return (var_slots, list(map(cores.get, order)), runs), reducible
+    reducible = {steps[a][1]: b for kind, a, b in steps if kind is Implies and uses[a] == 1 and steps[a][0] is Var}
+
+    def loops(cores: Mapping[int, int]) -> tuple:
+        order = [v for v in range(k) if v not in cores] + list(cores)
+        depths: list[int] = []
+        var_slots = [0] * k
+        runs: list[list[tuple]] = [[] for _ in range(k)]
+        for slot, (kind, a, b) in enumerate(steps):
+            if kind is Var:
+                depth = order.index(a)
+                var_slots[depth] = slot
+            elif b is None:
+                depth = 0
+            else:
+                depth = max(depths[a], depths[b])
+                runs[depth].append((slot, kind, a, b))
+            depths.append(depth)
+        return var_slots, list(map(cores.get, order)), runs
+
+    return loops({}), loops(reducible) if reducible else None
 
 
 def _scan(level: _Level, steps: list[tuple], schedule: tuple):
     """A falsifying assignment on ``level`` as a tuple of indices in loop order, or ``None``.
 
     ``schedule`` is ``(var_slots, sources, runs)``: loop ``d`` binds the
-    variable at slot ``var_slots[d]`` and runs only the steps of depth
-    ``d``, ``runs[d + 1]``.  A connective on indices, like a list of
-    preimages, is computed once by ``_Level.fill`` and read from the
-    level's memo after that, in this scan and in every later one at the
-    same size.  It runs on levels from n=3, for formulas with at least
-    one variable; n=2 is ``_truth_table``.
+    variable at slot ``var_slots[d]`` and runs only its own steps,
+    ``runs[d]``.  A bound value lives in its variable's slot alone: the
+    deeper loops read it there, and so does the hit.  A connective on
+    indices, like a list of preimages, is computed once by
+    ``_Level.fill`` and read from the level's memo after that, in this
+    scan and in every later one at the same size.  It runs on levels
+    from n=3, for formulas with at least one variable; n=2 is
+    ``_truth_table``.
 
     ``sources[d]`` says where loop ``d`` takes its values.  ``None``
     prunes them by relabelling: a permutation ``g`` maps
@@ -586,16 +591,18 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
     the bound prefix, though not which one is least.  Such loops come
     after every loop that prunes by relabelling, and the projection of
     the counterexamples to those loops is closed under relabelling too.
+    Loop 0 reads an ``r`` on constants alone before running it, as 0.
+    That is exact: such a step is the bottom, 0, or the top, and under
+    the top every ``v -> r`` is the top whatever ``v`` takes.
     """
     var_slots, sources, runs = schedule
     size, k, memo = level.size, len(var_slots), level.memo
     top = size - 1
     # The indiscrete partition is index 0 and the discrete one is ``top``.
     slots = [top if kind is Const1 else 0 for kind, _, _ in steps]
-    values = [0] * k
 
     def descend(depth: int, swaps: list[array]) -> bool:
-        slot, todo, last, source = var_slots[depth], runs[depth + 1], depth == k - 1, sources[depth]
+        slot, todo, last, source = var_slots[depth], runs[depth], depth == k - 1, sources[depth]
         if source is not None:
             key = ("core", slots[source], None)
             try:
@@ -603,14 +610,14 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
             except KeyError:
                 candidates = level.fill(key)
         elif depth:
-            bound = values[depth - 1]
+            bound = slots[var_slots[depth - 1]]
             swaps = [row for row in swaps if row[bound] == bound]
             lows = map(min, range(size), *swaps) if swaps else range(size)
             candidates = itertools.compress(range(size), map(operator.eq, lows, itertools.count()))
         else:
             candidates = level.shapes
         for v in candidates:
-            slots[slot] = values[depth] = v
+            slots[slot] = v
             for out, kind, a, b in todo:
                 key = (kind, slots[a], slots[b])
                 try:
@@ -624,13 +631,8 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
                 return True
         return False
 
-    for out, kind, a, b in runs[0]:
-        key = (kind, slots[a], slots[b])
-        try:
-            slots[out] = memo[key]
-        except KeyError:
-            slots[out] = level.fill(key)
-    return tuple(values) if descend(0, level.swaps if None in sources[1:] else []) else None
+    found = descend(0, level.swaps if None in sources[1:] else [])
+    return tuple(map(slots.__getitem__, var_slots)) if found else None
 
 
 # The truth table takes at most ``2**_CHUNK_BITS`` rows in one pass.
@@ -694,19 +696,17 @@ def find_partition_counterexample(
     the truth table, evaluated bit-parallel by ``_truth_table``: every
     step once per chunk of up to ``2**_CHUNK_BITS`` rows.  A closed
     formula stops there: the two constants form the same two-element
-    Boolean algebra at every larger size.  Levels n>=3 run ``_scan``,
-    and the schedules it takes are built on the first of them.
+    Boolean algebra at every larger size.  Levels n>=3 run ``_scan`` on
+    the two schedules one ``_schedule`` call builds on the first of them.
 
-    From n=3 a formula with a reducible variable (see ``_schedule``),
-    such as each ``v`` of a relativized ``v -> z`` or one that occurs
-    only negated, is first decided by a core-image scan.  The other
-    variables are bound first, by name; then each reducible ``v`` after
-    the variables of its right operand ``r``, over one preimage per
-    member of the Boolean core of ``r``'s value (2**b members for b
-    non-singleton blocks, against Bell(n) partitions).  Only on the
-    level where that scan finds a hit does the name-order scan run, and
-    it returns the lex-least counterexample; a tautology never pays for
-    it.
+    A formula with a reducible variable, such as each ``v`` of a
+    relativized ``v -> z`` or one that occurs only negated, is first
+    decided by the core-image scan: each reducible ``v`` takes one
+    preimage per member of the Boolean core of its right operand's value
+    (2**b members for b non-singleton blocks, against Bell(n)
+    partitions).  Only on the level where that scan finds a hit does the
+    name-order scan run and return the lex-least counterexample; a
+    tautology never pays for it.
 
     Raises ``ValueError`` when ``max_n`` or ``budget`` is not an
     ``int`` (a ``bool`` is not), when ``max_n < 2`` or ``budget < 1``,
@@ -741,8 +741,7 @@ def find_partition_counterexample(
             hit = _truth_table(steps, k)
         else:
             if by_name is None:
-                by_name, reducible = _schedule(steps, k, {})
-                by_core = _schedule(steps, k, reducible)[0] if reducible else None
+                by_name, by_core = _schedule(steps, k)
             if by_core and _scan(level, steps, by_core) is None:
                 continue
             hit = _scan(level, steps, by_name)

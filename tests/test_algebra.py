@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from partlogic import (
     Partition,
@@ -16,6 +17,8 @@ from partlogic import (
     refines,
 )
 from partlogic.algebra import MAX_CORE_ENTRIES
+
+from conftest import partitions_of
 
 
 def all_parts(n):
@@ -76,6 +79,16 @@ class TestBooleanCore:
             parts = all_parts(n)
             for pi in parts:
                 assert set(boolean_core(pi).members) == {implication_blocks(s, pi) for s in parts}
+
+    # Each member is built once, with no check of its own; these are the check.
+    def test_members_are_double_negation_fixed_points(self):
+        for n in range(1, 7):
+            for pi in all_parts(n):
+                assert all(double_pi_negation(member, pi) == member for member in boolean_core(pi).members)
+
+    @given(st.integers(7, 9).flatmap(partitions_of))
+    def test_sampled_members_are_double_negation_fixed_points(self, pi):
+        assert all(double_pi_negation(member, pi) == member for member in boolean_core(pi).members)
 
     def test_core_is_distributive(self):
         for n in range(1, 5):

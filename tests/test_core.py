@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -77,6 +78,16 @@ class TestConstructors:
             Partition.from_blocks([[0, 3]], 3)
         with pytest.raises(ValueError, match="at least one block"):
             Partition.from_blocks([], 3)
+
+    def test_from_blocks_rejects_elements_that_are_not_ints(self):
+        # as the rgs entries must be: a bool is not an int here either
+        for blocks, element in [([[0], [True]], "True"), ([[0, 1.0]], "1.0"), ([[0], ["1"]], "'1'"),
+                                ([[0, 1], [None]], "None"), ([[False, 1]], "False")]:
+            with pytest.raises(ValueError, match=f"^element {re.escape(element)} is not an integer$"):
+                Partition.from_blocks(blocks, 2)
+        # the checks that came before keep their messages
+        with pytest.raises(ValueError, match="^element -1 out of range for universe size 2$"):
+            Partition.from_blocks([[5, -1]], 2)
 
     def test_rgs_validation(self):
         with pytest.raises(ValueError, match="restricted-growth"):

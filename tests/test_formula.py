@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from partlogic import (
     And,
@@ -331,6 +331,26 @@ class TestIdentity:
             Var("s").name = "p"
 
 
+NODE_CLASSES = [Var, Const0, Const1, Not, And, Or, Implies]
+
+
+class TestNodeClasses:
+    @pytest.mark.parametrize("node", NODE_CLASSES, ids=lambda node: node.__name__)
+    def test_a_subclass_is_no_formula_node(self, node):
+        # Each node class is matched by exact type: a subclass passes no
+        # entry point, as a leaf or under a connective.
+        sub = type(f"My{node.__name__}", (node,), {})
+        args = {Var: ("s",), Const0: (), Const1: (), Not: (Var("s"),)}.get(node, (Var("s"), Var("p")))
+        entry_points = [free_vars, format_formula, find_partition_counterexample,
+                        lambda f: eval_partition(f, Assignment(3, {})),
+                        lambda f: pi_negation_transform(f, "z")]
+        for f in (sub(*args), Implies(Var("q"), Not(sub(*args)))):
+            for entry_point in entry_points:
+                with pytest.raises(TypeError) as err:
+                    entry_point(f)
+                assert str(err.value) == f"not a formula node: My{node.__name__}"
+
+
 class TestFreeVars:
     def test_examples(self):
         assert free_vars(parse("s -> p")) == ("p", "s")
@@ -479,21 +499,41 @@ class TestRefuter:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @settings(deadline=None)
-    @given(refuter_inputs)
-    def test_lex_least_counterexample(self, f):
+    @staticmethod
+    def _least_counterexample(f: Formula, max_n: int) -> Assignment | None:
+        """The first falsifying assignment in lex order, by the tree-walking oracle."""
         names = free_vars(f)
-        expected = None
-        for n in (2, 3):
+        for n in range(2, max_n + 1):
             top = Partition.discrete(n)
             for values in itertools.product(list(enumerate_partitions(n)), repeat=len(names)):
                 assignment = Assignment(n, dict(zip(names, values)))
                 if oracle_eval_partition(f, assignment) != top:
-                    expected = assignment
-                    break
-            if expected is not None:
-                break
-        assert find_partition_counterexample(f, max_n=3) == expected
+                    return assignment
+        return None
+
+    @settings(deadline=None)
+    @given(refuter_inputs)
+    # relabelling at the third loop must fix the second loop's value too
+    @example(parse("(p -> 0) /\\ (q -> s) \\/ ~((p -> 0) /\\ (q -> s))"))
+    def test_lex_least_counterexample(self, f):
+        assert find_partition_counterexample(f, max_n=3) == self._least_counterexample(f, 3)
+
+    def test_constant_subformulas_give_the_lex_least_counterexample(self):
+        # A step on constants alone runs in the outermost loop, and a reducible
+        # variable may take its values from such a step: s in s -> (0 -> 0).
+        body = "1 /\\ 1 /\\ ((1 -> s) \\/ 0 -> q \\/ p)"
+        texts = ["(1 /\\ 0) \\/ s", "(0 -> 0) -> ~p", "(0 -> 0) -> (s -> s)", "s -> (0 -> 0)",
+                 "(s -> ~1) \\/ (p -> ~0)", "((s -> (0 \\/ 1)) -> p) \\/ ~p", f"{body} \\/ ~({body})"]
+        corpus = [parse(text) for text in texts]
+        rng = random.Random(23)
+        closed = [Const0(), Const1()]
+        for i in range(60):
+            g = grow(rng, rng.randint(2, 6), ATOMS)
+            h = rng.choice([And, Or, Implies])(grow(rng, rng.randint(2, 3), closed), g)
+            corpus.append(Or(h, Not(h)) if i % 2 else h)
+        hits = [find_partition_counterexample(f, max_n=4) for f in corpus]
+        assert hits == [self._least_counterexample(f, 4) for f in corpus]
+        assert {cex.n for cex in hits if cex} == {2, 3}
 
     def test_one_variable_does_not_hold_its_level(self, cold_levels):
         tracemalloc.start()
@@ -625,7 +665,11 @@ class TestRefuter:
     @staticmethod
     def _reducible(f: Formula) -> list[str]:
         names, steps = formula._compile(f)
-        return [names[v] for v in formula._schedule(steps, len(names), {})[1]]
+        by_core = formula._schedule(steps, len(names))[1]
+        if by_core is None:
+            return []
+        var_slots, sources, _ = by_core
+        return [names[steps[slot][1]] for slot, source in zip(var_slots, sources) if source is not None]
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_preimages_map_onto_the_core(self, n):
@@ -653,7 +697,7 @@ class TestRefuter:
         reran = Counter(cex.n for f, cex in zip(corpus, reduced) if cex and cex.n > 2 and self._reducible(f))
         assert reran == {3: 12, 4: 2}
         production = formula._schedule
-        monkeypatch.setattr(formula, "_schedule", lambda *args: (production(*args)[0], {}))
+        monkeypatch.setattr(formula, "_schedule", lambda *args: (production(*args)[0], None))
         assert [find_partition_counterexample(f, max_n=5) for f in corpus] == reduced
 
     def test_relativized_variables_range_over_the_core(self, monkeypatch, cold_levels):
@@ -724,27 +768,31 @@ class TestTruthTable:
             g = grow(rng, rng.randint(1, 14), atoms[:rng.randint(3, 8)])
             f = Or(g, Not(g)) if i % 4 == 0 else g
             names, steps = formula._compile(f)
-            by_name, _ = formula._schedule(steps, len(names), {})
             hit = formula._truth_table(steps, len(names))
             # the scan needs a variable to bind; a closed formula has the oracle alone
-            assert not names or hit == formula._scan(formula._level(2), steps, by_name)
+            if names:
+                by_name, _ = formula._schedule(steps, len(names))
+                assert hit == formula._scan(formula._level(2), steps, by_name)
             assert (hit is None) == oracle_is_tautology(f)
             refuted += hit is not None
         assert 100 < refuted < 300
 
     def test_no_scan_and_no_schedule_at_n2(self, monkeypatch):
-        seen = []
-        production = formula._scan
-
-        def scan(level, steps, schedule):
-            seen.append(level.n)
-            return production(level, steps, schedule)
-
-        monkeypatch.setattr(formula, "_scan", scan)
+        seen, scheduled = [], []
+        scan, schedule = formula._scan, formula._schedule
+        monkeypatch.setattr(formula, "_scan", lambda level, *args: seen.append(level.n) or scan(level, *args))
+        monkeypatch.setattr(formula, "_schedule", lambda *args: scheduled.append(args) or schedule(*args))
         corpus = [parse(text) for _, text in CLASSICAL_TAUTOLOGIES + NON_TAUTOLOGIES]
         corpus += [pi_negation_transform(f, "z") for f in corpus] + [parse("0"), parse("1")]
-        results = [find_partition_counterexample(f, max_n=3) for f in corpus]
-        assert any(cex is not None and cex.n == 2 for cex in results)
+        outcomes = Counter()
+        for f in corpus:
+            scheduled.clear()
+            cex = find_partition_counterexample(f, max_n=4)
+            # one call for a formula that reaches n=3, however many levels it
+            # scans from there, and none for one decided at n=2
+            assert len(scheduled) == (cex is None or cex.n > 2) * bool(free_vars(f))
+            outcomes["none" if cex is None else cex.n] += 1
+        assert outcomes["none"] and outcomes[2] and outcomes[3]
         assert seen and 2 not in seen
         # a formula decided at n=2 builds no schedule
         monkeypatch.setattr(formula, "_schedule", None)
