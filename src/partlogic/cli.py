@@ -2,13 +2,16 @@
 
 Exit codes are the machine contract: 0 means pass or no counterexample,
 1 means a counterexample was found or a suite check failed, 2 means a
-usage, parse, or guard error.
+usage, parse, or guard error; ``main(argv)`` returns one of them for
+every argv.  Handlers return their code and text and ``main`` alone
+writes, so a closed stdout keeps the verdict's code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import boolean_core, core_to_subset
@@ -43,21 +46,19 @@ def _parse_formula(arg: str):
         raise ValueError(f"syntax error: {exc}") from exc
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     if args.max_size < 2:
         raise ValueError("--max-size must be at least 2")
     if args.budget < 1:
         raise ValueError("--budget must be positive")
     f = _parse_formula(args.formula)
-    try:
-        cex = find_partition_counterexample(f, max_n=args.max_size, budget=args.budget)
-    except SearchBudgetExceeded as exc:
-        raise ValueError(str(exc)) from exc
+    cex = find_partition_counterexample(f, max_n=args.max_size, budget=args.budget)
     # The n=2 level is the truth table, so it refutes exactly the classical non-tautologies.
     classical = cex is None or cex.n > 2
     report: dict = {"formula": format_formula(f), "classical": classical}
     if cex is None:
         report["partition"] = {"status": "no_counterexample", "bound": args.max_size}
+        verdict = f"no counterexample up to n={args.max_size}"
     else:
         report["partition"] = {
             "status": "counterexample",
@@ -65,20 +66,16 @@ def cmd_check(args: argparse.Namespace) -> int:
             "assignment": {name: format_partition(p) for name, p in sorted(cex.bindings.items())},
             "bound": args.max_size,
         }
+        bound = ", ".join(f"{name}={text}" for name, text in report["partition"]["assignment"].items())
+        verdict = f"counterexample at n={cex.n}: {bound}"
+    code = 0 if cex is None else 1
     if args.format == "json":
-        print(json.dumps(report))
-    else:
-        print(f"formula: {report['formula']}")
-        print(f"classical: {'tautology' if classical else 'not a tautology'}")
-        if cex is None:
-            print(f"partition: no counterexample up to n={args.max_size}")
-        else:
-            bound = ", ".join(f"{name}={text}" for name, text in report["partition"]["assignment"].items())
-            print(f"partition: counterexample at n={cex.n}: {bound}")
-    return 0 if cex is None else 1
+        return code, json.dumps(report)
+    classical_text = "tautology" if classical else "not a tautology"
+    return code, f"formula: {report['formula']}\nclassical: {classical_text}\npartition: {verdict}"
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
     if args.size is not None and args.size < 1:
         raise ValueError("--size must be at least 1")
     if args.size is not None and args.size > MAX_EVAL_SIZE:
@@ -112,13 +109,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     result = eval_partition(f, Assignment(len(labels), bindings))
     text = format_partition(result, labels)
     if args.format == "json":
-        print(json.dumps({"formula": format_formula(f), "result": text}))
-    else:
-        print(text)
-    return 0
+        return 0, json.dumps({"formula": format_formula(f), "result": text})
+    return 0, text
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     if args.n > MAX_TABLE_SIZE:
         raise ValueError(f"table supports universes up to {MAX_TABLE_SIZE}")
     op = TABLE_OPS[args.op]
@@ -126,23 +121,18 @@ def cmd_table(args: argparse.Namespace) -> int:
     index = {p: i for i, p in enumerate(parts)}
     grid = [[index[op(p, q)] for q in parts] for p in parts]
     if args.format == "json":
-        print(json.dumps({
+        return 0, json.dumps({
             "op": args.op,
             "n": args.n,
             "partitions": [format_partition(p) for p in parts],
             "table": grid,
-        }))
-    else:
-        print(f"{args.op} over the {len(parts)} partitions of a {args.n}-element universe")
-        for i, p in enumerate(parts):
-            print(f"p{i} = {format_partition(p)}")
-        width = len(f"p{len(parts) - 1}")
-        header = " ".join(f"p{j}".rjust(width) for j in range(len(parts)))
-        print(" " * (width + 2) + header)
-        for i, row in enumerate(grid):
-            cells = " ".join(f"p{v}".rjust(width) for v in row)
-            print(f"{f'p{i}'.rjust(width)} | {cells}")
-    return 0
+        })
+    lines = [f"{args.op} over the {len(parts)} partitions of a {args.n}-element universe"]
+    lines += [f"p{i} = {format_partition(p)}" for i, p in enumerate(parts)]
+    width = len(f"p{len(parts) - 1}")
+    lines.append(" " * (width + 2) + " ".join(f"p{j}".rjust(width) for j in range(len(parts))))
+    lines += [f"{f'p{i}'.rjust(width)} | " + " ".join(f"p{v}".rjust(width) for v in row) for i, row in enumerate(grid)]
+    return 0, "\n".join(lines)
 
 
 def _hasse_edges(parts: list[Partition]) -> list[tuple[int, int]]:
@@ -156,35 +146,30 @@ def _hasse_edges(parts: list[Partition]) -> list[tuple[int, int]]:
     ]
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
     if args.n > MAX_ENUMERATE_SIZE:
         raise ValueError(f"enumerate supports universes up to {MAX_ENUMERATE_SIZE}")
     if args.format == "dot" and args.n > MAX_HASSE_SIZE:
         raise ValueError(f"the diagram output supports universes up to {MAX_HASSE_SIZE}")
     parts = list(enumerate_partitions(args.n))
     if args.format == "json":
-        print(json.dumps({
+        return 0, json.dumps({
             "n": args.n,
             "count": len(parts),
             "partitions": [format_partition(p) for p in parts],
-        }))
-    elif args.format == "dot":
-        print("digraph refinement {")
-        print("  rankdir=BT;")
-        print("  edge [dir=none];")
-        for i, p in enumerate(parts):
-            print(f'  p{i} [label="{format_partition(p)}" shape=plaintext];')
-        for i, j in _hasse_edges(parts):
-            print(f"  p{i} -> p{j};")
-        print("}")
+        })
+    if args.format == "dot":
+        lines = ["digraph refinement {", "  rankdir=BT;", "  edge [dir=none];"]
+        lines += [f'  p{i} [label="{format_partition(p)}" shape=plaintext];' for i, p in enumerate(parts)]
+        lines += [f"  p{i} -> p{j};" for i, j in _hasse_edges(parts)]
+        lines.append("}")
     else:
-        for p in parts:
-            print(f"{format_partition(p)}  {format_rgs(p)}")
-        print(f"count: {len(parts)}")
-    return 0
+        lines = [f"{format_partition(p)}  {format_rgs(p)}" for p in parts]
+        lines.append(f"count: {len(parts)}")
+    return 0, "\n".join(lines)
 
 
-def cmd_core(args: argparse.Namespace) -> int:
+def cmd_core(args: argparse.Namespace) -> tuple[int, str]:
     try:
         pi, labels = parse_partition(args.pi)
     except ValueError as exc:
@@ -198,38 +183,35 @@ def cmd_core(args: argparse.Namespace) -> int:
             "member": format_partition(member, labels),
         })
     if args.format == "json":
-        print(json.dumps({
+        return 0, json.dumps({
             "pi": format_partition(pi, labels),
             "non_singleton_blocks": blocks,
             "members": rows,
-        }))
-    else:
-        print(f"pi: {format_partition(pi, labels)}")
-        named = " ".join(f"{i}:{block}" for i, block in enumerate(blocks))
-        print(f"non-singleton blocks: {named if named else '(none)'}")
-        print(f"members ({len(core)}):")
-        for row in rows:
-            chosen = "{" + ",".join(str(i) for i in row["subset"]) + "}"
-            print(f"  {chosen} -> {row['member']}")
-    return 0
+        })
+    named = " ".join(f"{i}:{block}" for i, block in enumerate(blocks))
+    lines = [f"pi: {format_partition(pi, labels)}", f"non-singleton blocks: {named if named else '(none)'}",
+             f"members ({len(core)}):"]
+    lines += ["  {" + ",".join(map(str, row["subset"])) + "} -> " + row["member"] for row in rows]
+    return 0, "\n".join(lines)
 
 
-def cmd_suite(args: argparse.Namespace) -> int:
+def cmd_suite(args: argparse.Namespace) -> tuple[int, str]:
     checks = SUITES[args.name]()
     failed = [c for c in checks if not c.passed]
+    code = 0 if not failed else 1
     if args.format == "json":
-        print(json.dumps({
+        return code, json.dumps({
             "suite": args.name,
             "passed": not failed,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
-        }))
-    else:
-        for c in checks:
-            mark = "ok  " if c.passed else "FAIL"
-            detail = f"  ({c.detail})" if c.detail else ""
-            print(f"{mark} {c.name}{detail}")
-        print(f"suite {args.name}: {len(checks) - len(failed)}/{len(checks)} checks passed")
-    return 0 if not failed else 1
+        })
+    lines = []
+    for c in checks:
+        mark = "ok  " if c.passed else "FAIL"
+        detail = f"  ({c.detail})" if c.detail else ""
+        lines.append(f"{mark} {c.name}{detail}")
+    lines.append(f"suite {args.name}: {len(checks) - len(failed)}/{len(checks)} checks passed")
+    return code, "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -286,10 +268,14 @@ _PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        return args.handler(args)
-    except ValueError as exc:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written its usage or help text: 2 for a usage error, 0 for --help.
+        return exc.code
+    try:
+        code, text = args.handler(args)
+    except (ValueError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -297,6 +283,15 @@ def main(argv: list[str] | None = None) -> int:
         # else that escapes a handler is an error.
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe; the verdict's code stands.  Stdout now
+        # points at devnull, so the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

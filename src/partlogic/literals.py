@@ -43,12 +43,13 @@ def parse_partition(text: str) -> tuple[Partition, tuple[str, ...]]:
         return p, default_labels(p.n)
     blocks = _parse_blocks(s)
     labels = sorted(lab for block in blocks for lab in block)
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
+    block_of = {lab: i for i, block in enumerate(blocks) for lab in block}
+    if len(block_of) != len(labels):
         dup = next(lab for i, lab in enumerate(labels) if i and labels[i - 1] == lab)
         raise ValueError(f"duplicate label {dup!r} in partition literal")
-    p = Partition.from_blocks([[index[lab] for lab in block] for block in blocks], len(labels))
-    return p, tuple(labels)
+    # The reader gives non-empty blocks of distinct labels, so the labels
+    # cover the universe once and from_blocks's checks would all pass.
+    return Partition.from_labels([block_of[lab] for lab in labels]), tuple(labels)
 
 
 # After any whitespace: a brace, a comma, a label, or the end of the text ("").

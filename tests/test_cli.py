@@ -30,6 +30,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(partlogic.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestCheck:
     def test_counterexample_exits_one(self, capsys):
         code, out, _ = run(capsys, "check", "s \\/ ~s")
@@ -106,9 +112,10 @@ class TestCheck:
         assert (code, err) == (2, "error: --budget must be positive\n")
 
     def test_no_jobs_flag(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["check", "s", "--jobs", "2"])
-        assert err.value.code == 2
+        code, out, err = run(capsys, "check", "s", "--jobs", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: partlogic ")
+        assert err.endswith("partlogic: error: unrecognized arguments: --jobs 2\n")
 
     def test_closed_formula_at_a_large_max_size(self, capsys):
         start = time.perf_counter()
@@ -130,11 +137,9 @@ class TestCheck:
         assert out.splitlines()[-1] == "partition: no counterexample up to n=4"
 
     def test_deep_negation_on_stdin_in_a_fresh_process(self):
-        src = os.path.dirname(os.path.dirname(partlogic.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "partlogic.cli", "check", "-"], input="~" * 10**5 + "s\n",
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=fresh_env(), timeout=60)
         assert time.perf_counter() - start < 30
         assert (proc.returncode, proc.stderr) == (1, "")
         assert proc.stdout.splitlines()[-1] == "partition: counterexample at n=2: s={{a,b}}"
@@ -334,9 +339,10 @@ class TestSuite:
         assert run(capsys, "suite", "figure3") == (2, "", "error: RuntimeError: boom detail\n")
 
     def test_unknown_suite(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["suite", "nonsense"])
-        assert err.value.code == 2
+        code, out, err = run(capsys, "suite", "nonsense")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: partlogic suite ")
+        assert "error: argument name: invalid choice: 'nonsense'" in err
 
 
 # Every sub-command, each format beside the text default, eval with and
@@ -355,15 +361,6 @@ MIXED_ARGVS = [
     ["suite", "figure3"],
     ["table", "nonsense", "2"],
 ]
-
-
-def outcome(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def readme_examples() -> list:
@@ -389,7 +386,7 @@ def readme_examples() -> list:
 
 @pytest.mark.parametrize("argv, code, quoted", readme_examples())
 def test_readme_example(capsys, argv, code, quoted):
-    got, out, err = outcome(capsys, argv)
+    got, out, err = run(capsys, *argv)
     assert (got, err) == (code, "")
     assert quoted in out
 
@@ -442,8 +439,6 @@ def test_package_imports_only_the_standard_library():
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     # Each CLI call is a fresh process; these two modules cost it ~10 ms.
-    src = os.path.dirname(os.path.dirname(partlogic.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = (
         "import sys\n"
         "def loaded(): return sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
@@ -452,7 +447,7 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
         "import partlogic.cli\n"
         "print(loaded())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
@@ -468,11 +463,51 @@ class TestOneParser:
         assert built.call_count == 7  # the counter sees a parser and its six sub-parsers
 
     def test_outputs_do_not_depend_on_call_order(self, capsys):
-        forward = [outcome(capsys, argv) for argv in MIXED_ARGVS]
-        backward = [outcome(capsys, argv) for argv in reversed(MIXED_ARGVS)][::-1]
+        forward = [run(capsys, *argv) for argv in MIXED_ARGVS]
+        backward = [run(capsys, *argv) for argv in reversed(MIXED_ARGVS)][::-1]
         for argv, first, second in zip(MIXED_ARGVS, forward, backward):
             assert first == second, argv
         assert [code for code, _, _ in forward] == [1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+
+
+class TestOneWriter:
+    """Handlers return their exit code and text; ``main`` alone writes, and decides the code for every argv."""
+
+    @pytest.mark.parametrize("argv", MIXED_ARGVS, ids=" ".join)
+    def test_handlers_write_nothing(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        if err.startswith("usage:"):
+            return  # argparse refused the argv before any handler ran
+        args = _build_parser().parse_args(argv)
+        try:
+            got = args.handler(args)
+        except ValueError as exc:
+            assert (code, out, err) == (2, "", f"error: {exc}\n")
+        else:
+            assert [type(v) for v in got] == [int, str]
+            assert (code, out, err) == (got[0], got[1] + "\n", "")
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_exits_zero(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: partlogic ")
+
+    # The reader closes the pipe before the first write, as `| head -0` does.
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(argv, code, id=" ".join(argv)) for argv, code in [
+            (["check", "s \\/ ~s", "--max-size", "3"], 1),
+            (["check", "s -> s", "--format", "json"], 0),
+            (["enumerate", "9"], 0),
+            (["suite", "figure3", "--format", "json"], 0),
+        ]
+    ])
+    def test_closed_stdout_keeps_the_verdict(self, argv, code):
+        proc = subprocess.Popen([sys.executable, "-m", "partlogic.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=fresh_env())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (code, "")
 
 
 formula_texts = st.one_of(
@@ -487,8 +522,5 @@ def test_random_text_exits_zero_one_or_two(text):
     for argv in (["check", text, "--max-size", "3", "--budget", "10000"], ["eval", text, "--size", "3"]):
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), mock.patch("sys.stdin", io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
         assert code in (0, 1, 2), (argv, sink.getvalue())
