@@ -396,7 +396,7 @@ class _Level:
     depends only on n: the block shapes, the relabelling rows, built on
     first need, and ``memo``, from ``(kind, i, j)`` to the index of that
     connective on those indices and from ``("core", i, None)`` to
-    ``preimages(i)``.  Only ``fill`` writes the memo, which holds at
+    ``core(i)``.  Only ``fill`` writes the memo, which holds at
     most ``_MEMO_LIMIT`` entries.
     """
 
@@ -430,28 +430,27 @@ class _Level:
         """Compute the memo entry ``key``, store it, and return it; a full memo is cleared first.
 
         ``(kind, i, j)`` is the index of connective ``kind`` on indices
-        ``i`` and ``j``, and ``("core", i, None)`` is ``preimages(i)``.
+        ``i`` and ``j``, and ``("core", i, None)`` is ``core(i)``.
         """
         memo = self.memo
         if len(memo) >= _MEMO_LIMIT:
             memo.clear()
         kind, i, j = key
         if j is None:
-            value = self.preimages(i)
+            value = self.core(i)
         else:
             value = _rank(self.tails, self.algebra[kind](self.partition(i), self.partition(j)).rgs)
         memo[key] = value
         return value
 
-    def preimages(self, index: int) -> list[int]:
-        """One ``x`` for each value ``x -> z`` takes, ``z`` the partition at ``index``.
+    def core(self, index: int) -> list[int]:
+        """The indices of the members of the Boolean core of the partition at ``index``, in order.
 
         By the block rule ``x -> z`` dissolves the blocks of ``z`` inside
-        a block of ``x`` and keeps the others whole, so its values are
-        the Boolean core of ``z``: one member per set D of non-singleton
-        blocks dissolved.  The ``x`` that keeps the blocks of D whole and
-        makes every other element a singleton gives that member, so the
-        core itself is a set of preimages.
+        a block of ``x`` and keeps the others whole, so as ``x`` runs over
+        all partitions, or over this list alone, ``x -> z`` runs over the
+        core of ``z``: one member per set of non-singleton blocks
+        dissolved.
         """
         return [_rank(self.tails, x.rgs) for x in boolean_core(self.partition(index)).members]
 
@@ -512,97 +511,145 @@ def _rank(tails: list[list[int]], labels: Sequence) -> int:
     return index
 
 
-def _schedule(steps: list[tuple], k: int) -> tuple[tuple, tuple | None]:
-    """The schedules ``_scan`` takes for the name-order and the core-image scan.
+# The signs a step is reached under from the root, as bits; a step
+# reached under both is mixed.  ``_FLIPPED[sign]`` is the sign that an
+# implication reached under ``sign`` passes to its left operand.
+_POSITIVE, _NEGATIVE, _MIXED = 1, 2, 3
+_FLIPPED = (0, _NEGATIVE, _POSITIVE, _MIXED)
 
-    Each binds the ``k`` variables in nested loops and runs each
-    connective step in the loop of the last-bound variable it depends
-    on, loop 0 when it depends on none.  It holds the slot of each
-    loop's variable step, each loop's source of values (a slot, or
-    ``None``) and, at ``runs[d]``, loop ``d``'s steps as
-    ``(slot, kind, a, b)``.  The first binds the variables by name, the
-    first sorted name outermost.  The second, ``None`` when no variable
-    is reducible, binds the others first, by name, then each reducible
-    one in the order of its ``Implies`` step, from that step's right
-    operand.
 
-    A variable is reducible when its one use is as the left operand of
-    an ``Implies`` step, so the formula sees ``v`` only through
-    ``v -> r``; the uses of each step are counted once, for both
-    schedules.  ``r`` cannot depend on ``v``: that would take a second
-    use, by a step under ``r`` or, when ``r`` is ``v``, by the same step.
+def _analyse(steps: list[tuple]) -> tuple[dict[int, bool], dict[int, int]]:
+    """The pins of the pure variables, and the sources of the other reducible ones.
+
+    One reverse pass gives each step its uses and its sign: the root is
+    positive, ``/\\`` and ``\\/`` pass a step's sign to both operands,
+    and ``->`` passes it to its right operand and flips it on its left.
+    Join and meet are monotone, and implication, the right adjoint of
+    meet, is antitone in its antecedent and monotone in its consequent;
+    so the root is monotone in a variable reached only positively and
+    antitone in one reached only negatively.  Lowering the first to the
+    indiscrete partition or raising the second to the discrete one keeps
+    a counterexample, so a level has one exactly when it has one with
+    every such pure variable pinned there.  ``pins`` maps each to
+    ``True`` when it is pinned at the discrete partition.
+
+    A variable that is not pure is reducible when its one use is as the
+    left operand of an ``Implies`` step, so the formula sees ``v`` only
+    through ``v -> r``; ``cores`` maps it to the slot of ``r``, in step
+    order.  ``r`` cannot depend on ``v``: that would take a second use,
+    by a step under ``r`` or, when ``r`` is ``v``, by the same step.
     """
     uses = [0] * len(steps)
-    for _, a, b in steps:
+    signs = [0] * len(steps)
+    signs[-1] = _POSITIVE
+    for slot in reversed(range(len(steps))):
+        kind, a, b = steps[slot]
         if b is not None:  # a connective; variable and constant steps have no right operand
+            sign = signs[slot]
             uses[a] += 1
             uses[b] += 1
-    reducible = {steps[a][1]: b for kind, a, b in steps if kind is Implies and uses[a] == 1 and steps[a][0] is Var}
+            signs[a] |= _FLIPPED[sign] if kind is Implies else sign
+            signs[b] |= sign
+    pins = {a: sign == _NEGATIVE for (kind, a, _), sign in zip(steps, signs) if kind is Var and sign != _MIXED}
+    cores = {steps[a][1]: b for kind, a, b in steps
+             if kind is Implies and uses[a] == 1 and steps[a][0] is Var and steps[a][1] not in pins}
+    return pins, cores
 
-    def loops(cores: Mapping[int, int]) -> tuple:
-        order = [v for v in range(k) if v not in cores] + list(cores)
-        depths: list[int] = []
-        var_slots = [0] * k
-        runs: list[list[tuple]] = [[] for _ in range(k)]
-        for slot, (kind, a, b) in enumerate(steps):
-            if kind is Var:
-                depth = order.index(a)
+
+def _schedule(steps: list[tuple], k: int, pins: Mapping[int, bool], cores: Mapping[int, int]) -> tuple:
+    """The loops ``_scan`` runs, with ``pins`` held and each variable in ``cores`` over a core.
+
+    Each of the ``k`` variables that is not pinned gets a loop: first
+    those not in ``cores``, by name, the first sorted name outermost,
+    then those in ``cores`` in the order of their ``Implies`` steps.
+    Each connective step runs in the loop of the last-bound variable it
+    depends on.  A step on constants and pinned variables alone depends
+    on none: it lies in the two-element subalgebra of the indiscrete and
+    discrete partitions at every n, so it is folded here, once, in the
+    truth-value algebra of ``_bitsets(0)``.
+
+    The schedule holds each step's initial value as a truth value (0 for
+    a step some loop computes), the slot each loop binds, each loop's
+    source (a slot, or ``None``), at ``runs[d]`` loop ``d``'s steps as
+    ``(slot, kind, a, b)``, and the slot of each variable, by name.  A
+    loop over a core binds the ``v -> r`` step itself, from the source
+    ``r``: as ``x`` runs over the core of ``r``, ``x -> r`` runs over
+    the same set.  So that step leaves ``runs``, and the slot of ``v``
+    is never bound.
+    """
+    order = [v for v in range(k) if v not in pins and v not in cores] + list(cores)
+    depth_of = {v: d for d, v in enumerate(order)}
+    boolean = _bitsets(0)[1]
+    initial: list[int] = []
+    depths: list[int] = []
+    var_slots = [0] * len(order)
+    runs: list[list[tuple]] = [[] for _ in order]
+    named = [0] * k
+    for slot, (kind, a, b) in enumerate(steps):
+        value = 0
+        if kind is Var:
+            named[a] = slot
+            depth = depth_of.get(a, -1)
+            if depth < 0:
+                value = pins[a]
+            elif a not in cores:
                 var_slots[depth] = slot
-            elif b is None:
-                depth = 0
+        elif b is None:
+            depth, value = -1, boolean[kind]
+        else:
+            depth = max(depths[a], depths[b])
+            if depth < 0:
+                value = boolean[kind](initial[a], initial[b])
+            elif kind is Implies and steps[a][0] is Var and steps[a][1] in cores:
+                var_slots[depth] = slot
             else:
-                depth = max(depths[a], depths[b])
                 runs[depth].append((slot, kind, a, b))
-            depths.append(depth)
-        return var_slots, list(map(cores.get, order)), runs
+        depths.append(depth)
+        initial.append(value)
+    return initial, var_slots, [cores.get(v) for v in order], runs, named
 
-    return loops({}), loops(reducible) if reducible else None
 
+def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
+    """A falsifying assignment on ``level`` as the index of each variable by name, or ``None``.
 
-def _scan(level: _Level, steps: list[tuple], schedule: tuple):
-    """A falsifying assignment on ``level`` as a tuple of indices in loop order, or ``None``.
-
-    ``schedule`` is ``(var_slots, sources, runs)``: loop ``d`` binds the
-    variable at slot ``var_slots[d]`` and runs only its own steps,
-    ``runs[d]``.  A bound value lives in its variable's slot alone: the
-    deeper loops read it there, and so does the hit.  A connective on
-    indices, like a list of preimages, is computed once by
-    ``_Level.fill`` and read from the level's memo after that, in this
-    scan and in every later one at the same size.  It runs on levels
-    from n=3, for formulas with at least one variable; n=2 is
-    ``_truth_table``.
+    ``schedule`` comes from ``_schedule``: loop ``d`` binds the slot
+    ``var_slots[d]`` and runs only its own steps, ``runs[d]``.  A bound
+    value lives in its slot alone: the deeper loops read it there, and
+    so does the hit.  Every other slot starts at its folded truth value,
+    the indiscrete partition, index 0, or the discrete one, ``top``.  A
+    connective on indices, like a core's member list, is computed once
+    by ``_Level.fill`` and read from the level's memo after that, in
+    this scan and in every later one at the same size.  It runs on
+    levels from n=3; n=2 is ``_truth_table``.
 
     ``sources[d]`` says where loop ``d`` takes its values.  ``None``
     prunes them by relabelling: a permutation ``g`` maps
-    counterexamples to counterexamples, so the least one ``c``
-    satisfies ``c <= g.c``.  When ``g`` fixes the bound prefix this
-    forces ``c[d] <= g.c[d]``, so a value that some such ``g`` maps
-    lower is skipped, and the first hit is still ``c``, the least
-    counterexample in loop order.  The first variable, with nothing
-    bound, takes only the block shapes, the least of each orbit; a
-    deeper one is tested against the ``_Level.swaps`` that fix every
-    bound value.
+    counterexamples to counterexamples and fixes every folded value, so
+    the least one ``c`` satisfies ``c <= g.c``.  When ``g`` fixes the
+    bound prefix this forces ``c[d] <= g.c[d]``, so a value that some
+    such ``g`` maps lower is skipped, and the first hit is still ``c``,
+    the least counterexample in loop order.  The first loop, with nothing bound,
+    takes only the block shapes, the least of each orbit; a deeper one
+    is tested against the ``_Level.swaps`` that fix every bound value.
 
-    A slot ``r`` instead scans a reducible variable ``v`` over the
-    Boolean core of the value of ``r``: it takes ``_Level.preimages`` of
-    that value, kept in the memo, one real partition for each value
-    ``v -> r`` can take.  The formula sees ``v`` only through that
-    implication, so this loop decides whether a counterexample extends
-    the bound prefix, though not which one is least.  Such loops come
-    after every loop that prunes by relabelling, and the projection of
-    the counterexamples to those loops is closed under relabelling too.
-    Loop 0 reads an ``r`` on constants alone before running it, as 0.
-    That is exact: such a step is the bottom, 0, or the top, and under
-    the top every ``v -> r`` is the top whatever ``v`` takes.
+    A slot ``r`` instead binds a ``v -> r`` step to each member of the
+    Boolean core of the value of ``r``, ``_Level.core`` of that value,
+    kept in the memo: those are the values ``v -> r`` takes.  The
+    formula sees ``v`` only through that implication, so this loop
+    decides whether a counterexample extends the bound prefix, though
+    not which one is least, and the hit reads ``v`` as index 0.  Such
+    loops come after every loop that prunes by relabelling, and the
+    projection of the counterexamples to those loops is closed under
+    relabelling too.  Each ``r`` is exact when its loop starts: it is
+    computed in an earlier loop, or folded.
     """
-    var_slots, sources, runs = schedule
-    size, k, memo = level.size, len(var_slots), level.memo
+    initial, var_slots, sources, runs, named = schedule
+    size, loops, memo = level.size, len(var_slots), level.memo
     top = size - 1
-    # The indiscrete partition is index 0 and the discrete one is ``top``.
-    slots = [top if kind is Const1 else 0 for kind, _, _ in steps]
+    slots = [top * bit for bit in initial]
 
     def descend(depth: int, swaps: list[array]) -> bool:
-        slot, todo, last, source = var_slots[depth], runs[depth], depth == k - 1, sources[depth]
+        slot, todo, last, source = var_slots[depth], runs[depth], depth == loops - 1, sources[depth]
         if source is not None:
             key = ("core", slots[source], None)
             try:
@@ -631,8 +678,9 @@ def _scan(level: _Level, steps: list[tuple], schedule: tuple):
                 return True
         return False
 
-    found = descend(0, level.swaps if None in sources[1:] else [])
-    return tuple(map(slots.__getitem__, var_slots)) if found else None
+    # With every variable pinned the root is folded.
+    found = descend(0, level.swaps if None in sources[1:] else []) if loops else slots[-1] != top
+    return tuple(map(slots.__getitem__, named)) if found else None
 
 
 # The truth table takes at most ``2**_CHUNK_BITS`` rows in one pass.
@@ -696,17 +744,24 @@ def find_partition_counterexample(
     the truth table, evaluated bit-parallel by ``_truth_table``: every
     step once per chunk of up to ``2**_CHUNK_BITS`` rows.  A closed
     formula stops there: the two constants form the same two-element
-    Boolean algebra at every larger size.  Levels n>=3 run ``_scan`` on
-    the two schedules one ``_schedule`` call builds on the first of them.
+    Boolean algebra at every larger size.
 
-    A formula with a reducible variable, such as each ``v`` of a
-    relativized ``v -> z`` or one that occurs only negated, is first
-    decided by the core-image scan: each reducible ``v`` takes one
-    preimage per member of the Boolean core of its right operand's value
-    (2**b members for b non-singleton blocks, against Bell(n)
-    partitions).  Only on the level where that scan finds a hit does the
-    name-order scan run and return the lex-least counterexample; a
-    tautology never pays for it.
+    Levels n>=3 run ``_scan``, first on the deciding schedule that
+    ``_analyse`` and ``_schedule`` build, once, on the first of them.
+    It pins each pure variable: one that occurs only positively at the
+    indiscrete partition and one that occurs only negatively at the
+    discrete one, and folds every step on constants and pins alone.
+    It binds each other reducible variable, such as each ``v`` of a
+    relativized ``v -> z`` whose implication is shared under both signs,
+    through ``v -> r`` itself, over the Boolean core of the value of
+    ``r`` (2**b members for b non-singleton blocks, against Bell(n)
+    partitions).  That scan decides whether the level has a
+    counterexample.  Only on the level where it finds one, and only when
+    it pinned a variable at the discrete partition or took one over a
+    core, is the name-order schedule built: it keeps the pins at the
+    indiscrete partition, since lowering such a variable keeps a
+    counterexample and is lex-no-greater, and its scan returns the
+    lex-least counterexample.  A tautology never pays for it.
 
     Raises ``ValueError`` when ``max_n`` or ``budget`` is not an
     ``int`` (a ``bool`` is not), when ``max_n < 2`` or ``budget < 1``,
@@ -729,7 +784,7 @@ def find_partition_counterexample(
     k = len(names)
     if k > MAX_TAUTOLOGY_VARS:
         raise ValueError(f"formula has {k} variables, past the bound {MAX_TAUTOLOGY_VARS}")
-    by_name = None
+    deciding = None
     for n in range(2, (max_n if names else 2) + 1):
         level = _level(n)
         count = level.size ** k
@@ -740,11 +795,13 @@ def find_partition_counterexample(
         if n == 2:
             hit = _truth_table(steps, k)
         else:
-            if by_name is None:
-                by_name, by_core = _schedule(steps, k)
-            if by_core and _scan(level, steps, by_core) is None:
-                continue
-            hit = _scan(level, steps, by_name)
+            if deciding is None:
+                pins, cores = _analyse(steps)
+                deciding = _schedule(steps, k, pins, cores)
+            hit = _scan(level, deciding)
+            if hit is not None and (cores or any(pins.values())):
+                lows = {v: pin for v, pin in pins.items() if not pin}
+                hit = _scan(level, _schedule(steps, k, lows, {}))
         if hit is not None:
             return Assignment(n, {name: level.partition(i) for name, i in zip(names, hit)})
     return None

@@ -142,8 +142,11 @@ def grow(rng: random.Random, leaves: int, atoms: list[Formula]) -> Formula:
 ATOMS = [Const0(), Const1(), Var("s"), Var("p"), Var("q")]
 Z = Var("z")
 # Classical tautologies that fail over partitions, first at n=3, 4 and 4,
-# where the core-image scan finds the hit and the name-order scan reruns.
+# where the deciding scan, with a variable pinned at the discrete
+# partition, finds the hit and the name-order scan reruns.
 REDUCIBLE_FAILURES = ["(s -> z) \\/ ~z", "(z -> s) \\/ (p -> z) \\/ (s -> z)", "(s -> p) \\/ (p -> s) \\/ ~q"]
+# A reducible variable whose source is the folded 0 -> 0.
+FOLDED = "(q -> (0 -> 0))"
 
 
 @st.composite
@@ -519,8 +522,8 @@ class TestRefuter:
         assert find_partition_counterexample(f, max_n=3) == self._least_counterexample(f, 3)
 
     def test_constant_subformulas_give_the_lex_least_counterexample(self):
-        # A step on constants alone runs in the outermost loop, and a reducible
-        # variable may take its values from such a step: s in s -> (0 -> 0).
+        # A step on constants alone is folded before any loop, and a variable
+        # may be reduced through such a step: s in s -> (0 -> 0).
         body = "1 /\\ 1 /\\ ((1 -> s) \\/ 0 -> q \\/ p)"
         texts = ["(1 /\\ 0) \\/ s", "(0 -> 0) -> ~p", "(0 -> 0) -> (s -> s)", "s -> (0 -> 0)",
                  "(s -> ~1) \\/ (p -> ~0)", "((s -> (0 \\/ 1)) -> p) \\/ ~p", f"{body} \\/ ~({body})"]
@@ -535,6 +538,24 @@ class TestRefuter:
         assert hits == [self._least_counterexample(f, 4) for f in corpus]
         assert {cex.n for cex in hits if cex} == {2, 3}
 
+    def test_pure_variables_give_the_lex_least_counterexample(self):
+        # q next to a formula over s, p and constants, reached only positively,
+        # only negatively, or both ways; hits at n=3 and 4 with q pinned at 0,
+        # or at 1 in the deciding scan and free in the name-order rerun
+        rng = random.Random(25)
+        sides = [Var("q"), Not(Var("q")), Const0(), Const1()]
+        corpus = []
+        for i in range(60):
+            g = grow(rng, rng.randint(2, 5), ATOMS[:4])
+            base = [Or(g, Not(g)), parse("(s -> p) \\/ (p -> s)"), g][i % 3]
+            h = grow(rng, rng.randint(1, 3), sides)
+            corpus.append(rng.choice([And, Or, Implies])(h, base) if i % 2 else rng.choice([Or, Implies])(base, h))
+        hits = [find_partition_counterexample(f, max_n=4) for f in corpus]
+        assert hits == [self._least_counterexample(f, 4) for f in corpus]
+        pinned = Counter((cex.n, how) for f, cex in zip(corpus, hits) if cex and cex.n > 2
+                         for name, how in self._reductions(f) if name == "q")
+        assert all(pinned[n, pin] for n in (3, 4) for pin in (0, 1))
+
     def test_one_variable_does_not_hold_its_level(self, cold_levels):
         tracemalloc.start()
         try:
@@ -545,39 +566,42 @@ class TestRefuter:
         assert peak < 1 << 20
 
     @staticmethod
-    def _count_implications(monkeypatch) -> list[int]:
+    def _count_connectives(monkeypatch, names=("implication_blocks",)) -> list[int]:
+        """Count the calls of the operations ``names`` in levels built after this."""
         calls = [0]
-        production = formula.implication_blocks
 
-        def counting(p, q):
-            calls[0] += 1
-            return production(p, q)
+        def counting(production):
+            def count(p, q):
+                calls[0] += 1
+                return production(p, q)
+            return count
 
-        monkeypatch.setattr(formula, "implication_blocks", counting)
+        for name in names:
+            monkeypatch.setattr(formula, name, counting(getattr(formula, name)))
         return calls
 
     def test_one_variable_visits_the_block_shapes(self, monkeypatch, cold_levels):
         # one value per integer partition of n: 2+3+5+7+11+15+22+30+42 for n=2..10
-        calls = self._count_implications(monkeypatch)
+        calls = self._count_connectives(monkeypatch)
         assert find_partition_counterexample(parse("s -> s"), max_n=10) is None
         assert calls[0] <= 137
 
     def test_long_chain_reads_the_memo(self, monkeypatch, cold_levels):
-        calls = self._count_implications(monkeypatch)
+        calls = self._count_connectives(monkeypatch)
         chain = parse(" -> ".join(["s"] * 10**4))
         assert find_partition_counterexample(chain) is None
         assert calls[0] <= 100
 
     def test_negation_shares_the_memo_of_implication_into_0(self, monkeypatch, cold_levels):
-        calls = self._count_implications(monkeypatch)
+        calls = self._count_connectives(monkeypatch)
         assert find_partition_counterexample(parse("~s \\/ s"), max_n=4) is not None
         before = calls[0]
         assert find_partition_counterexample(parse("(s -> 0) \\/ s"), max_n=4) is not None
         assert calls[0] == before
 
     def test_a_warm_level_computes_nothing_twice(self, monkeypatch, cold_levels):
-        # 0 -> 0 depends on no variable; it is read from the memo like any step.
-        calls = self._count_implications(monkeypatch)
+        # 0 -> 0 depends on no variable; it is folded before any loop.
+        calls = self._count_connectives(monkeypatch)
         syllogism = pi_negation_transform(parse("(s -> p) -> ((p -> q) -> (s -> q))"), "z")
         for f in (syllogism, parse("(0 -> 0) -> (s -> s)")):
             assert find_partition_counterexample(f, max_n=4) is None
@@ -636,8 +660,8 @@ class TestRefuter:
         for i in range(50):
             g = grow(rng, rng.randint(2, 9), ATOMS)
             corpus.append(Or(g, Not(g)) if i % 2 else g)
-        # Relativized non-tautologies: those refuted past n=2 scan the core
-        # images first, so a tiny memo evicts preimage lists too.
+        # Relativized non-tautologies: those refuted past n=2 scan over cores
+        # first, so a tiny memo evicts core member lists too.
         corpus += [pi_negation_transform(parse(text), "z") for _, text in NON_TAUTOLOGIES]
         corpus += [parse(text) for text in REDUCIBLE_FAILURES]
         corpus += [Or(pi_negation_transform(grow(rng, rng.randint(2, 6), ATOMS[:4]), "z"), Not(Z))
@@ -652,33 +676,48 @@ class TestRefuter:
         # The one writer keeps every memo within its bound.
         assert all(len(formula._level(n).memo) <= formula._MEMO_LIMIT for n in range(2, 5))
 
-    @pytest.mark.parametrize("text, reduced", [("(s -> z) /\\ (s -> p)", []),
+    @pytest.mark.parametrize("text, reduced", [("(s -> z) /\\ (s -> p)", [("p", 0), ("s", 1), ("z", 0)]),
                                                ("s -> s", []),
-                                               ("s -> (s -> z)", []),
-                                               ("~s", ["s"]),
-                                               ("p -> (q -> z)", ["q", "p"])])
+                                               ("s -> (s -> z)", [("s", 1), ("z", 0)]),
+                                               ("~s", [("s", 1)]),
+                                               ("p -> (q -> z)", [("p", 1), ("q", 1), ("z", 0)]),
+                                               ("s", [("s", 0)]),
+                                               ("~~s", [("s", 0)]),
+                                               ("(s -> p) -> s", [("p", 1), ("s", 0)]),
+                                               ("(s \\/ p -> q) /\\ (s \\/ p)", [("q", 0)]),
+                                               ("(s -> z) \\/ ~(s -> z)", [("s", "core")]),
+                                               ("(p -> (q -> z)) \\/ ~(p -> (q -> z))", [("q", "core"), ("p", "core")]),
+                                               ("(0 -> s) -> 1 /\\ p", [("p", 0), ("s", 1)]),
+                                               ("~(s -> 0) \\/ (1 -> p)", [("p", 0), ("s", 0)]),
+                                               ("(s -> ~1) /\\ ((s -> ~1) -> q)", [("q", 0), ("s", "core")])])
     def test_reducible_variables(self, text, reduced):
-        # reducible: one use, as the left operand of an implication whose
-        # right operand does not depend on it; listed in scan order
-        assert self._reducible(parse(text)) == reduced
+        # A variable reached only positively is pinned at 0, the indiscrete
+        # partition, and one reached only negatively at 1, the discrete one:
+        # ``->`` flips the sign on its left and keeps it on its right, the
+        # other connectives keep it.  Another variable is reducible when its
+        # one use is as the left operand of an implication; those are listed
+        # in scan order.
+        assert self._reductions(parse(text)) == reduced
 
     @staticmethod
-    def _reducible(f: Formula) -> list[str]:
+    def _reductions(f: Formula) -> list[tuple[str, int | str]]:
+        """Each pinned variable and its pin, by name, then each variable the deciding scan takes over a core."""
         names, steps = formula._compile(f)
-        by_core = formula._schedule(steps, len(names))[1]
-        if by_core is None:
-            return []
-        var_slots, sources, _ = by_core
-        return [names[steps[slot][1]] for slot, source in zip(var_slots, sources) if source is not None]
+        pins, cores = formula._analyse(steps)
+        _, var_slots, sources, _, _ = formula._schedule(steps, len(names), pins, cores)
+        # a loop over a core binds the implication whose left operand is the variable
+        scanned = [names[steps[steps[slot][1]][1]] for slot, source in zip(var_slots, sources) if source is not None]
+        return [(names[v], int(pins[v])) for v in sorted(pins)] + [(name, "core") for name in scanned]
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_preimages_map_onto_the_core(self, n):
+        # The core's member list ranks the members in order, and those are
+        # the values ``x -> z`` takes, so a core loop binds ``v -> r`` to them.
         level = formula._Level(n)
         parts = [level.partition(i) for i in range(level.size)]
         for i, z in enumerate(parts):
             members = boolean_core(z).members
-            images = [implication_blocks(parts[x], z) for x in level.preimages(i)]
-            assert len(images) == len(members) and set(images) == set(members)
+            assert [parts[x] for x in level.core(i)] == list(members)
             assert set(members) == {implication_blocks(x, z) for x in parts}
 
     def test_core_image_scan_gives_the_name_order_result(self, monkeypatch):
@@ -693,18 +732,32 @@ class TestRefuter:
             corpus.append(grow(rng, rng.randint(2, 7), negated))
             corpus.append(Or(pi_negation_transform(grow(rng, rng.randint(2, 6), ATOMS[:4]), "z"), Not(Z)))
         reduced = [find_partition_counterexample(f, max_n=5) for f in corpus]
-        # the hits past n=2 that the core-image scan found and the name-order scan reran
-        reran = Counter(cex.n for f, cex in zip(corpus, reduced) if cex and cex.n > 2 and self._reducible(f))
-        assert reran == {3: 12, 4: 2}
-        production = formula._schedule
-        monkeypatch.setattr(formula, "_schedule", lambda *args: (production(*args)[0], None))
+        # the hits past n=2 that a core loop or a pin at 1 found and the name-order scan reran
+        reran = Counter(cex.n for f, cex in zip(corpus, reduced)
+                        if cex and cex.n > 2 and {1, "core"} & {how for _, how in self._reductions(f)})
+        assert reran == {3: 9, 4: 2}
+        # no pin and no core: every variable by name, in one scan
+        monkeypatch.setattr(formula, "_analyse", lambda steps: ({}, {}))
         assert [find_partition_counterexample(f, max_n=5) for f in corpus] == reduced
 
     def test_relativized_variables_range_over_the_core(self, monkeypatch, cold_levels):
-        calls = self._count_implications(monkeypatch)
+        calls = self._count_connectives(monkeypatch)
         syllogism = pi_negation_transform(parse("((s -> p) /\\ (p -> q)) -> (s -> q)"), "z")
         assert find_partition_counterexample(syllogism, max_n=5) is None
         assert calls[0] <= 70
+
+    def test_pure_variables_get_no_loop(self, monkeypatch, cold_levels):
+        calls = self._count_connectives(monkeypatch, ("meet", "join", "implication_blocks"))
+        # p is pinned at 0 and q at 1, so ~q folds to 0 and s alone is scanned:
+        # s -> s once per block shape, 3+5+7 for n=3..5, and one join per level
+        assert find_partition_counterexample(parse("((s -> s) \\/ p) \\/ ~q"), max_n=5) is None
+        assert calls[0] <= 18
+        # q's core loop reads the folded top of 0 -> 0 and binds the implication
+        # to that one member: one implication and one meet per level
+        calls[0] = 0
+        formula._level.cache_clear()
+        assert find_partition_counterexample(parse(f"{FOLDED} /\\ ({FOLDED} -> {FOLDED})"), max_n=5) is None
+        assert calls[0] <= 6
 
     def test_budget_guard(self):
         f = parse("s \\/ ~s \\/ p \\/ q")
@@ -771,8 +824,12 @@ class TestTruthTable:
             hit = formula._truth_table(steps, len(names))
             # the scan needs a variable to bind; a closed formula has the oracle alone
             if names:
-                by_name, _ = formula._schedule(steps, len(names))
-                assert hit == formula._scan(formula._level(2), steps, by_name)
+                # every variable by name, and with the variables reached only
+                # positively pinned at 0, as in the name-order rerun
+                pins, _ = formula._analyse(steps)
+                lows = {v: pin for v, pin in pins.items() if not pin}
+                for held in ({}, lows):
+                    assert hit == formula._scan(formula._level(2), formula._schedule(steps, len(names), held, {}))
             assert (hit is None) == oracle_is_tautology(f)
             refuted += hit is not None
         assert 100 < refuted < 300
@@ -784,15 +841,24 @@ class TestTruthTable:
         monkeypatch.setattr(formula, "_schedule", lambda *args: scheduled.append(args) or schedule(*args))
         corpus = [parse(text) for _, text in CLASSICAL_TAUTOLOGIES + NON_TAUTOLOGIES]
         corpus += [pi_negation_transform(f, "z") for f in corpus] + [parse("0"), parse("1")]
+        # q's core loop reads the folded top of 0 -> 0: a stale 0 would give a hit
+        corpus += [parse(text) for text in REDUCIBLE_FAILURES + [f"{FOLDED} /\\ ({FOLDED} -> {FOLDED})"]]
         outcomes = Counter()
         for f in corpus:
             scheduled.clear()
             cex = find_partition_counterexample(f, max_n=4)
-            # one call for a formula that reaches n=3, however many levels it
-            # scans from there, and none for one decided at n=2
-            assert len(scheduled) == (cex is None or cex.n > 2) * bool(free_vars(f))
-            outcomes["none" if cex is None else cex.n] += 1
-        assert outcomes["none"] and outcomes[2] and outcomes[3]
+            # None for a formula decided at n=2.  One that reaches n=3 builds
+            # the deciding schedule once, however many levels it scans from
+            # there, and a tautology builds nothing more.  On the level of a
+            # hit the name-order schedule follows, with no core and no pin at
+            # 1, when the deciding one has either.
+            reaches = (cex is None or cex.n > 2) and bool(free_vars(f))
+            first = [(pins, cores) for _, _, pins, cores in scheduled[:1]]
+            rerun = cex is not None and any(cores or any(pins.values()) for pins, cores in first)
+            assert len(scheduled) == reaches + rerun
+            assert all(not cores and not any(pins.values()) for _, _, pins, cores in scheduled[1:])
+            outcomes["none" if cex is None else cex.n, rerun] += 1
+        assert all(outcomes[key] for key in [("none", False), (2, False), (3, False), (3, True), (4, True)])
         assert seen and 2 not in seen
         # a formula decided at n=2 builds no schedule
         monkeypatch.setattr(formula, "_schedule", None)
@@ -819,7 +885,8 @@ class TestCensus:
         """Every tree of at most two connectives over ``s``, ``p``, ``0``, ``1``.
 
         Each classical tautology among them that fails over partitions
-        fails first at n=3; none first fails at n=4.
+        fails first at n=3; none first fails at n=4.  Each counterexample
+        is the lex-least one.
         """
         by_connectives = [[Var("s"), Var("p"), Const0(), Const1()]]
         for k in (1, 2):
@@ -833,6 +900,7 @@ class TestCensus:
         hits = [find_partition_counterexample(f, max_n=4) for f in tautologies]
         first_failures = Counter(cex.n for cex in hits if cex is not None)
         assert (len(trees), len(tautologies), first_failures) == (1356, 515, {3: 12})
+        assert hits == [TestRefuter._least_counterexample(f, 4) for f in tautologies]
 
 
 class TestTransform:
