@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .core import Partition, _Value, _require_same_universe, _set_field, _straddling, refines
-from .ops import _discretize, implication_blocks, join, meet
+from .ops import _dissolve, _member, implication_blocks, join, meet
 
 # Members times elements a core may hold.  k non-singleton blocks need at
 # least 2k elements, so the bound admits at most 14 blocks, and 14 fit 32 elements.
@@ -75,7 +75,7 @@ def boolean_core(pi: Partition) -> BooleanCore:
     ns_blocks = tuple(pi.blocks[b] for b in ns_labels)
     repeated = set(ns_labels)
     members = [
-        _discretize(pi, {b for i, b in enumerate(ns_labels) if not mask >> i & 1}, repeated)
+        _member(pi, _dissolve(pi.rgs, {b for i, b in enumerate(ns_labels) if not mask >> i & 1}, repeated))
         for mask in range(1 << k)
     ]
     return BooleanCore(pi, ns_blocks, tuple(members))
@@ -106,15 +106,15 @@ def double_pi_negation(sigma: Partition, pi: Partition) -> Partition:
     that lie inside blocks of ``sigma`` stay whole and everything else
     discretizes, so ``sigma`` always refines into the result.  The
     block rule is applied once, keeping whole the non-singleton blocks
-    that no block of ``sigma`` straddles; ``_discretize`` returns the
+    that no block of ``sigma`` straddles; ``_member`` returns the
     ends of the core, ``pi`` when nothing straddles and the discrete
     partition when every non-singleton block does, without building a
     partition.  Values are frozen, so which object comes back is not
     part of the result.
     """
     _require_same_universe(sigma, pi)
-    straddling, repeated = _straddling(sigma, pi)
-    return _discretize(pi, repeated - straddling, repeated)
+    straddling, repeated = _straddling(sigma.rgs, pi.rgs)
+    return _member(pi, _dissolve(pi.rgs, repeated - straddling, repeated))
 
 
 def excluded_middle_partition(sigma: Partition, pi: Partition) -> Partition:

@@ -372,19 +372,19 @@ def refines(sigma: Partition, pi: Partition) -> bool:
     partition is the top.
     """
     _require_same_universe(sigma, pi)
-    return not _straddling(sigma, pi)[0]
+    return not _straddling(sigma.rgs, pi.rgs)[0]
 
 
-def _straddling(sigma: Partition, pi: Partition) -> tuple[set[int], set[int]]:
-    """The labels of the blocks of ``pi`` that straddle ``sigma``, and of those with two or more elements.
+def _straddling(sigma: Sequence[int], pi: Sequence[int]) -> tuple[set[int], set[int]]:
+    """The labels of the blocks of rgs ``pi`` that straddle rgs ``sigma``, and of those with two or more elements.
 
     A block straddles when it meets two blocks of ``sigma``, so the
-    first set lies inside the second.  Reads only the two rgs tuples.
+    first set lies inside the second.
     """
     first: dict[int, int] = {}
     straddling: set[int] = set()
     repeated: set[int] = set()
-    for s, b in zip(sigma.rgs, pi.rgs):
+    for s, b in zip(sigma, pi):
         if b in first:
             repeated.add(b)
             if first[b] != s:

@@ -19,12 +19,13 @@ import functools
 import itertools
 import operator
 import re
+import threading
 from array import array
 from typing import Mapping, Sequence
 
 from .core import Partition, _Value, _set_field, enumerate_partitions
 from .algebra import boolean_core
-from .ops import implication_blocks, join, meet
+from .ops import _implication, _join, _meet, implication_blocks, join, meet
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -380,8 +381,8 @@ class SearchBudgetExceeded(RuntimeError):
     """A refutation level would require more assignments than the budget allows."""
 
 
-# Entries the memo of one level may hold; it is cleared when full, so
-# memory stays bounded at every size the budget admits.
+# Entries the tables of one level may hold together; they are cleared when
+# full, so memory stays bounded at every size the budget admits.
 _MEMO_LIMIT = 1 << 16
 
 
@@ -393,11 +394,12 @@ class _Level:
     unranks an rgs without enumerating the level: index 0 is the
     indiscrete partition and ``size - 1`` the discrete one.  One level
     serves every formula at its size (see ``_level``), so it keeps what
-    depends only on n: the block shapes, the relabelling rows, built on
-    first need, and ``memo``, from ``(kind, i, j)`` to the index of that
-    connective on those indices and from ``("core", i, None)`` to
-    ``core(i)``.  Only ``fill`` writes the memo, which holds at
-    most ``_MEMO_LIMIT`` entries.
+    depends only on n: the block shapes and the relabelling rows, built
+    on first need, and its tables, keyed by index.  ``memo[kind][i][j]``
+    is the index of connective ``kind`` on indices ``i`` and ``j``,
+    ``cores[i]`` is ``core(i)``, and ``rgs[i]`` is the rgs of index
+    ``i``, kept once a connective has read it.  Only ``fill`` writes the
+    tables, which hold at most ``_MEMO_LIMIT`` entries together.
     """
 
     def __init__(self, n: int):
@@ -410,11 +412,15 @@ class _Level:
         tails.reverse()
         self.tails = tails
         self.size = tails[0][1]
-        self.algebra = _partition_algebra(n)
-        self.memo: dict[tuple, int | list[int]] = {}
+        self.kernels = {And: _meet, Or: _join, Implies: _implication}
+        self.memo: dict[type, dict[int, dict[int, int]]] = {kind: {} for kind in self.kernels}
+        self.cores: dict[int, list[int]] = {}
+        self.rgs: dict[int, tuple[int, ...]] = {}
+        self.entries = 0
+        self.lock = threading.Lock()
 
-    def partition(self, index: int) -> Partition:
-        """The partition at ``index``."""
+    def unrank(self, index: int) -> tuple[int, ...]:
+        """The rgs of the partition at ``index``."""
         rgs = []
         rest = index
         used = 0
@@ -424,24 +430,47 @@ class _Level:
             rest -= block * count
             rgs.append(block)
             used += block == used
-        return Partition._canonical(self.n, tuple(rgs))
+        return tuple(rgs)
 
-    def fill(self, key: tuple) -> int | list[int]:
-        """Compute the memo entry ``key``, store it, and return it; a full memo is cleared first.
+    def partition(self, index: int) -> Partition:
+        """The partition at ``index``."""
+        return Partition._canonical(self.n, self.rgs.get(index) or self.unrank(index))
 
-        ``(kind, i, j)`` is the index of connective ``kind`` on indices
-        ``i`` and ``j``, and ``("core", i, None)`` is ``core(i)``.
+    def fill(self, kind: type | None, i: int, j: int | None = None) -> int | list[int]:
+        """Compute ``memo[kind][i][j]``, or ``cores[i]`` when ``kind`` is ``None``; store it and return it.
+
+        A connective runs its ``ops`` kernel on the rgs of ``i`` and
+        ``j``, read from ``rgs`` or unranked and kept there, and ranks
+        its labels; no partition is built.  A fill writes at most
+        three entries, so when the level's count of entries could pass
+        ``_MEMO_LIMIT`` every table is cleared first.  Fills take the
+        level's lock, so when threads share the level the count never
+        falls below the entries held; it may pass them, when two threads
+        miss one entry and both fill it.  Readers take no lock, and a row
+        of ``memo`` that a reader already holds keeps its entries, which
+        stay right.
         """
-        memo = self.memo
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        kind, i, j = key
-        if j is None:
-            value = self.core(i)
-        else:
-            value = _rank(self.tails, self.algebra[kind](self.partition(i), self.partition(j)).rgs)
-        memo[key] = value
-        return value
+        with self.lock:
+            if self.entries > _MEMO_LIMIT - 3:
+                for table in (*self.memo.values(), self.cores, self.rgs):
+                    table.clear()
+                self.entries = 0
+            self.entries += 1
+            if kind is None:
+                value = self.cores[i] = self.core(i)
+                return value
+            rgs = self.rgs
+            for index in (i, j):
+                if index not in rgs:
+                    rgs[index] = self.unrank(index)
+                    self.entries += 1
+            y = rgs[j]
+            labels = self.kernels[kind](rgs[i], y)
+            # The block rule marks the ends of the core of ``y`` (``ops._dissolve``):
+            # ``y`` itself and the discrete partition, the last index, need no rank.
+            value = j if labels is y else self.size - 1 if type(labels) is range else _rank(self.tails, labels)
+            self.memo[kind].setdefault(i, {})[j] = value
+            return value
 
     def core(self, index: int) -> list[int]:
         """The indices of the members of the Boolean core of the partition at ``index``, in order.
@@ -496,8 +525,11 @@ class _Level:
                        for i in range(n - 3) for j in range(i + 2, n - 1)]
 
 
-# One level per universe size, shared by every formula and kept for the
-# life of the process.
+# One level per universe size, shared by every formula.  Each call builds
+# its levels from n=2 up, so the sizes kept are 2..m for the largest m
+# reached.  A call that scans, with ``max_n`` of 3 or more, drops them all
+# first when m passes its ``max_n``; the truth table of ``max_n=2`` scans
+# no level, so it keeps them.
 _level = functools.cache(_Level)
 
 
@@ -618,9 +650,10 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
     so does the hit.  Every other slot starts at its folded truth value,
     the indiscrete partition, index 0, or the discrete one, ``top``.  A
     connective on indices, like a core's member list, is computed once
-    by ``_Level.fill`` and read from the level's memo after that, in
-    this scan and in every later one at the same size.  It runs on
-    levels from n=3; n=2 is ``_truth_table``.
+    by ``_Level.fill`` and read after that from the level's table for
+    that connective, ``memo[kind][i][j]``, in this scan and in every
+    later one at the same size.  It runs on levels from n=3; n=2 is
+    ``_truth_table``.
 
     ``sources[d]`` says where loop ``d`` takes its values.  ``None``
     prunes them by relabelling: a permutation ``g`` maps
@@ -634,7 +667,7 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
 
     A slot ``r`` instead binds a ``v -> r`` step to each member of the
     Boolean core of the value of ``r``, ``_Level.core`` of that value,
-    kept in the memo: those are the values ``v -> r`` takes.  The
+    kept in ``cores``: those are the values ``v -> r`` takes.  The
     formula sees ``v`` only through that implication, so this loop
     decides whether a counterexample extends the bound prefix, though
     not which one is least, and the hit reads ``v`` as index 0.  Such
@@ -644,18 +677,17 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
     computed in an earlier loop, or folded.
     """
     initial, var_slots, sources, runs, named = schedule
-    size, loops, memo = level.size, len(var_slots), level.memo
+    size, loops, memo, cores = level.size, len(var_slots), level.memo, level.cores
     top = size - 1
     slots = [top * bit for bit in initial]
 
     def descend(depth: int, swaps: list[array]) -> bool:
         slot, todo, last, source = var_slots[depth], runs[depth], depth == loops - 1, sources[depth]
         if source is not None:
-            key = ("core", slots[source], None)
             try:
-                candidates = memo[key]
+                candidates = cores[slots[source]]
             except KeyError:
-                candidates = level.fill(key)
+                candidates = level.fill(None, slots[source])
         elif depth:
             bound = slots[var_slots[depth - 1]]
             swaps = [row for row in swaps if row[bound] == bound]
@@ -666,11 +698,10 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
         for v in candidates:
             slots[slot] = v
             for out, kind, a, b in todo:
-                key = (kind, slots[a], slots[b])
                 try:
-                    slots[out] = memo[key]
+                    slots[out] = memo[kind][slots[a]][slots[b]]
                 except KeyError:
-                    slots[out] = level.fill(key)
+                    slots[out] = level.fill(kind, slots[a], slots[b])
             if last:
                 if slots[-1] != top:
                     return True
@@ -680,6 +711,7 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
 
     # With every variable pinned the root is folded.
     found = descend(0, level.swaps if None in sources[1:] else []) if loops else slots[-1] != top
+    del descend  # it reaches itself through its closure: break the cycle, so a dropped level is freed at once
     return tuple(map(slots.__getitem__, named)) if found else None
 
 
@@ -769,11 +801,12 @@ def find_partition_counterexample(
     all before scanning anything, and
     :class:`SearchBudgetExceeded` before scanning any level whose
     assignment count passes ``budget``.  Each size's ``_Level`` is built
-    once per process and kept: partitions are addressed by index, its
-    memo is bounded by ``_MEMO_LIMIT``, and its ``3*n*n/4`` or so
-    relabelling rows are built on the first scan that prunes two or
-    more variables by relabelling, where Bell(n)**2 <= ``budget`` bounds
-    them.
+    once and kept for later calls, up to the first call with a smaller
+    ``max_n`` past 2, which drops every kept level first.  Partitions are
+    addressed by index, a level's tables hold at most ``_MEMO_LIMIT``
+    entries, and its ``3*n*n/4`` or so relabelling rows are built on the
+    first scan that prunes two or more variables by relabelling, where
+    Bell(n)**2 <= ``budget`` bounds them.
     """
     for name, value, least in (("max_n", max_n, 2), ("budget", budget, 1)):
         if type(value) is not int:
@@ -784,6 +817,8 @@ def find_partition_counterexample(
     k = len(names)
     if k > MAX_TAUTOLOGY_VARS:
         raise ValueError(f"formula has {k} variables, past the bound {MAX_TAUTOLOGY_VARS}")
+    if max_n > 2 and _level.cache_info().currsize > max_n - 1:
+        _level.cache_clear()
     deciding = None
     for n in range(2, (max_n if names else 2) + 1):
         level = _level(n)

@@ -10,6 +10,7 @@ method generalizes to all sixteen binary truth functions.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 from .core import (
     BinaryRelation,
@@ -65,7 +66,7 @@ def join(p: Partition, q: Partition) -> Partition:
     operands' distinctions.
     """
     _require_same_universe(p, q)
-    return Partition.from_labels(tuple(zip(p.rgs, q.rgs)))
+    return Partition.from_labels(_join(p.rgs, q.rgs))
 
 
 def meet(p: Partition, q: Partition) -> Partition:
@@ -74,16 +75,10 @@ def meet(p: Partition, q: Partition) -> Partition:
     Elements end up together exactly when a chain of overlapping blocks
     of the two operands connects them, i.e. the blocks are the classes
     of the equivalence relation generated by keeping together whatever
-    either operand keeps together.  The blocks of ``p`` are the nodes:
-    each element links its ``p`` block to the ``p`` block of the first
-    element of its ``q`` block, and the blocks are read off the
-    connected components.
+    either operand keeps together.
     """
     _require_same_universe(p, q)
-    first: dict[int, int] = {}
-    links = zip(p.rgs, map(first.setdefault, q.rgs, p.rgs))
-    labels = _component_labels(p.num_blocks, links)
-    return Partition.from_labels([labels[b] for b in p.rgs])
+    return Partition.from_labels(_meet(p.rgs, q.rgs))
 
 
 def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
@@ -91,32 +86,70 @@ def implication_blocks(sigma: Partition, pi: Partition) -> Partition:
 
     Every block of ``pi`` that lies inside a block of ``sigma`` dissolves
     into singletons; every other block stays whole.  The result lies in
-    the Boolean core of ``pi``, whose ends ``_discretize`` returns
-    without building a partition: the discrete partition when ``pi``
-    refines ``sigma`` (no block straddles), and ``pi`` when every
-    non-singleton block straddles.  Values are frozen, so which object
-    comes back is not part of the result.
+    the Boolean core of ``pi``, whose ends come back without building a
+    partition: the discrete partition when ``pi`` refines ``sigma`` (no
+    block straddles), and ``pi`` when every non-singleton block
+    straddles.  Values are frozen, so which object comes back is not
+    part of the result.
     """
     _require_same_universe(sigma, pi)
-    straddling, repeated = _straddling(sigma, pi)
-    return _discretize(pi, straddling, repeated)
+    return _member(pi, _implication(sigma.rgs, pi.rgs))
 
 
-def _discretize(pi: Partition, whole: set[int], repeated: set[int]) -> Partition:
+# The kernels: each connective on two rgs tuples of one length, returning
+# labels whose equal entries share a block.  The public operations wrap
+# them in a ``Partition``; the refuter ranks them without building one.
+
+def _join(p: tuple[int, ...], q: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Join: each element labelled by its pair of blocks."""
+    return list(zip(p, q))
+
+
+def _meet(p: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
+    """Meet: the blocks of ``p`` are the nodes of one class merger.
+
+    Each element links its ``p`` block to the ``p`` block of the first
+    element of its ``q`` block, and the labels are the connected
+    components.
+    """
+    first: dict[int, int] = {}
+    labels = _component_labels(len(p), zip(p, map(first.setdefault, q, p)))
+    return [labels[b] for b in p]
+
+
+def _implication(sigma: tuple[int, ...], pi: tuple[int, ...]) -> Sequence[int]:
+    """The block rule: ``pi`` with the blocks inside a block of ``sigma`` dissolved."""
+    return _dissolve(pi, *_straddling(sigma, pi))
+
+
+def _dissolve(pi: tuple[int, ...], whole: set[int], repeated: set[int]) -> Sequence[int]:
     """Keep the blocks of ``pi`` whose labels are in ``whole``; dissolve the rest.
 
     ``whole`` lies inside ``repeated``, the labels of the non-singleton
-    blocks.  The two ends of the core come back without building a
-    partition: the shared ``Partition.discrete(n)`` when ``whole`` is
-    empty, and ``pi`` itself when it holds every repeated block.
-    Otherwise a dissolved element ``u`` gets the label ``-1 - u``, which
-    no block of ``pi`` uses, and ``from_labels`` canonicalizes the result.
+    blocks.  The two ends of the core of ``pi`` are marked, so that
+    ``_member`` builds no partition for them: ``range(n)``, the rgs of
+    the discrete partition, when ``whole`` is empty, and ``pi`` itself
+    when it holds every repeated block.  Otherwise a dissolved element
+    ``u`` gets the label ``-1 - u``, which no block of ``pi`` uses.
     """
     if not whole:
-        return _discrete(Partition, pi.n)  # pi.n is a checked size
+        return range(len(pi))
     if len(whole) == len(repeated):
         return pi
-    return Partition.from_labels([b if b in whole else -1 - u for u, b in enumerate(pi.rgs)])
+    return [b if b in whole else -1 - u for u, b in enumerate(pi)]
+
+
+def _member(pi: Partition, labels: Sequence[int]) -> Partition:
+    """The member of the core of ``pi`` that ``_dissolve`` labelled.
+
+    Its ends are the shared ``Partition.discrete(n)`` and ``pi`` itself;
+    any other member is canonicalized by ``from_labels``.
+    """
+    if labels is pi.rgs:
+        return pi
+    if type(labels) is range:
+        return _discrete(Partition, pi.n)  # pi.n is a checked size
+    return Partition.from_labels(labels)
 
 
 class AdjunctiveLimitError(ValueError):

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -557,17 +559,36 @@ class TestRefuter:
         assert all(pinned[n, pin] for n in (3, 4) for pin in (0, 1))
 
     def test_one_variable_does_not_hold_its_level(self, cold_levels):
+        # Only the block shapes' rgs tuples are unranked, never a whole level.
         tracemalloc.start()
         try:
-            assert find_partition_counterexample(parse("s -> s"), max_n=8) is None
+            assert find_partition_counterexample(parse("s -> s"), max_n=10, budget=10**30) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_a_smaller_call_releases_the_larger_levels(self, cold_levels):
+        # The levels of a call stay for the next one, a warm rerun or a truth
+        # table at max_n=2, up to a call that scans to a smaller max_n: then
+        # the levels past n=4 of the syllogism go.
+        syllogism = parse("((s -> p) /\\ (p -> q)) -> (s -> q)")
+        tracemalloc.start()
+        try:
+            assert find_partition_counterexample(syllogism, max_n=6) is None
+            held, _ = tracemalloc.get_traced_memory()
+            assert find_partition_counterexample(syllogism, max_n=6) is None
+            assert is_subset_tautology(syllogism)
+            assert abs(held - tracemalloc.get_traced_memory()[0]) < 1 << 14
+            assert find_partition_counterexample(parse("s \\/ ~s"), max_n=3).n == 3
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held > 1 << 18 and left < 1 << 16
+
     @staticmethod
-    def _count_connectives(monkeypatch, names=("implication_blocks",)) -> list[int]:
-        """Count the calls of the operations ``names`` in levels built after this."""
+    def _count_connectives(monkeypatch, names=("_implication",)) -> list[int]:
+        """Count the calls of the kernels ``names`` in levels built after this."""
         calls = [0]
 
         def counting(production):
@@ -673,8 +694,36 @@ class TestRefuter:
             monkeypatch.setattr(f"partlogic.formula.{name}", value)
         assert [find_partition_counterexample(f, max_n=4) for f in corpus] == expected
         assert [find_partition_counterexample(f, max_n=4) for f in reversed(corpus)] == expected[::-1]
-        # The one writer keeps every memo within its bound.
-        assert all(len(formula._level(n).memo) <= formula._MEMO_LIMIT for n in range(2, 5))
+        # The one writer keeps the entries of every level's tables, together, within the bound.
+        assert all(self._entries(formula._level(n)) <= formula._MEMO_LIMIT for n in range(2, 5))
+
+    def test_threads_sharing_a_level_keep_its_count(self, monkeypatch, cold_levels):
+        # More threads than cores fill tiny shared tables at once, switching
+        # often: every result stands, and a lost update of the count would
+        # leave it below the entries the tables hold.
+        corpus = [pi_negation_transform(parse(text), "z") for _, text in CLASSICAL_TAUTOLOGIES[-4:]]
+        corpus += [parse(text) for text in REDUCIBLE_FAILURES] + [parse("(s -> p) \\/ (p -> s)")]
+        expected = [find_partition_counterexample(f, max_n=4) for f in corpus]
+        formula._level.cache_clear()
+        monkeypatch.setattr(formula, "_MEMO_LIMIT", 40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(lambda: [find_partition_counterexample(f, max_n=4) for f in corpus])
+                        for _ in range(4)]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
+        for n in (3, 4):
+            level = formula._level(n)
+            assert self._entries(level) <= level.entries <= formula._MEMO_LIMIT
+
+    @staticmethod
+    def _entries(level) -> int:
+        """The entries of a level's tables: connective values, core member lists and rgs tuples."""
+        return sum(map(len, itertools.chain(*map(dict.values, level.memo.values())))) + len(level.cores) + len(level.rgs)
 
     @pytest.mark.parametrize("text, reduced", [("(s -> z) /\\ (s -> p)", [("p", 0), ("s", 1), ("z", 0)]),
                                                ("s -> s", []),
@@ -719,6 +768,22 @@ class TestRefuter:
             members = boolean_core(z).members
             assert [parts[x] for x in level.core(i)] == list(members)
             assert set(members) == {implication_blocks(x, z) for x in parts}
+            assert level.fill(None, i) is level.cores[i] and level.cores[i] == level.core(i)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_fill_ranks_the_public_operation(self, n):
+        # A fill runs a kernel on two rgs tuples and ranks its labels; the
+        # public operation on the two partitions gives the same index.
+        level = formula._Level(n)
+        parts = list(enumerate_partitions(n))
+        index = {p: i for i, p in enumerate(parts)}
+        for kind, op in [(And, formula.meet), (Or, formula.join), (Implies, implication_blocks)]:
+            for (i, p), (j, q) in itertools.product(enumerate(parts), repeat=2):
+                value = index[op(p, q)]
+                assert level.fill(kind, i, j) == value == formula._rank(level.tails, op(p, q).rgs)
+                assert level.memo[kind][i][j] == value
+        assert level.rgs == {i: p.rgs for i, p in enumerate(parts)}
+        assert [level.partition(i) for i in range(level.size)] == parts
 
     def test_core_image_scan_gives_the_name_order_result(self, monkeypatch):
         rng = random.Random(16)
@@ -747,7 +812,7 @@ class TestRefuter:
         assert calls[0] <= 70
 
     def test_pure_variables_get_no_loop(self, monkeypatch, cold_levels):
-        calls = self._count_connectives(monkeypatch, ("meet", "join", "implication_blocks"))
+        calls = self._count_connectives(monkeypatch, ("_meet", "_join", "_implication"))
         # p is pinned at 0 and q at 1, so ~q folds to 0 and s alone is scanned:
         # s -> s once per block shape, 3+5+7 for n=3..5, and one join per level
         assert find_partition_counterexample(parse("((s -> s) \\/ p) \\/ ~q"), max_n=5) is None

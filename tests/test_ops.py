@@ -20,6 +20,7 @@ from partlogic import (
     refines,
 )
 from partlogic.algebra import boolean_core
+from partlogic.ops import _implication, _join, _meet
 
 from conftest import partition_pairs, partition_triples
 
@@ -168,6 +169,24 @@ class TestImplication:
         assert implication_blocks(sigma, pi) == implication_graph(sigma, pi) == implication_interior(sigma, pi)
         assert negation(sigma) == implication_graph(sigma, Partition.indiscrete(n))
         assert double_pi_negation(sigma, pi) == implication_blocks(implication_blocks(sigma, pi), pi)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_kernels_give_the_public_operations(self, n):
+        # Each kernel reads two rgs tuples; its labels, grouped, are the public
+        # operation's rgs and the partition the definitions give: the join
+        # and the meet through distinctions and their closure, the block rule
+        # through the link-labelling oracle.
+        parts = all_parts(n)
+        for p in parts:
+            for q in parts:
+                joined = Partition.from_equivalence((p.ditset | q.ditset).complement())
+                met = Partition.from_equivalence((p.inditset | q.inditset).closure())
+                for kernel, op, expected in [(_join, join, joined), (_meet, meet, met),
+                                             (_implication, implication_blocks, implication_graph(p, q))]:
+                    labels = kernel(p.rgs, q.rgs)
+                    assert Partition.from_labels(labels).rgs == op(p, q).rgs == expected.rgs
 
 
 class TestNegation:
