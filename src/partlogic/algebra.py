@@ -85,6 +85,8 @@ def core_from_subset(core: BooleanCore, chosen: Iterable[int]) -> Partition:
     """The member discretizing exactly the chosen non-singleton blocks."""
     mask = 0
     for i in chosen:
+        if type(i) is not int:
+            raise ValueError(f"block index {i!r} is not an integer")
         if not (0 <= i < len(core.ns_blocks)):
             raise ValueError(f"block index {i} out of range for {len(core.ns_blocks)} non-singleton blocks")
         mask |= 1 << i

@@ -29,7 +29,6 @@ from .ops import _implication, _join, _meet, implication_blocks, join, meet
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-MAX_TAUTOLOGY_VARS = 20
 DEFAULT_MAX_SIZE = 4
 DEFAULT_BUDGET = 10**8
 
@@ -354,8 +353,8 @@ def is_subset_tautology(f: Formula) -> bool:
 
     The refuter's n=2 level is the truth table, evaluated bit-parallel:
     the indiscrete and discrete partitions of a 2-set are False and
-    True.  Raises ``ValueError`` for a formula of more than
-    ``MAX_TAUTOLOGY_VARS`` variables, as
+    True.  Raises :class:`SearchBudgetExceeded` for a formula of more
+    than 26 variables, whose ``2**k`` rows pass the default budget, as
     :func:`find_partition_counterexample` does.
     """
     return find_partition_counterexample(f, max_n=2) is None
@@ -385,6 +384,9 @@ class SearchBudgetExceeded(RuntimeError):
 # full, so memory stays bounded at every size the budget admits.
 _MEMO_LIMIT = 1 << 16
 
+# The ``ops`` kernel each connective's fill runs on two rgs tuples.
+_KERNELS = {And: _meet, Or: _join, Implies: _implication}
+
 
 class _Level:
     """The partitions of ``{0..n-1}``, addressed by their index in enumeration order.
@@ -395,11 +397,12 @@ class _Level:
     indiscrete partition and ``size - 1`` the discrete one.  One level
     serves every formula at its size (see ``_level``), so it keeps what
     depends only on n: the block shapes and the relabelling rows, built
-    on first need, and its tables, keyed by index.  ``memo[kind][i][j]``
-    is the index of connective ``kind`` on indices ``i`` and ``j``,
-    ``cores[i]`` is ``core(i)``, and ``rgs[i]`` is the rgs of index
-    ``i``, kept once a connective has read it.  Only ``fill`` writes the
-    tables, which hold at most ``_MEMO_LIMIT`` entries together.
+    on first need, and its tables, keyed by int.
+    ``memo[kind][i * size + j]`` is the index of connective ``kind`` on
+    indices ``i`` and ``j``, ``cores[i]`` is ``core(i)``, and ``rgs[i]``
+    is the rgs of index ``i``, kept once a connective has read it.  Only
+    ``fill`` writes the tables, all of them in ``tables``, whose lengths
+    sum to at most ``_MEMO_LIMIT``.
     """
 
     def __init__(self, n: int):
@@ -412,11 +415,10 @@ class _Level:
         tails.reverse()
         self.tails = tails
         self.size = tails[0][1]
-        self.kernels = {And: _meet, Or: _join, Implies: _implication}
-        self.memo: dict[type, dict[int, dict[int, int]]] = {kind: {} for kind in self.kernels}
+        self.memo: dict[type, dict[int, int]] = {kind: {} for kind in _KERNELS}
         self.cores: dict[int, list[int]] = {}
         self.rgs: dict[int, tuple[int, ...]] = {}
-        self.entries = 0
+        self.tables = (*self.memo.values(), self.cores, self.rgs)
         self.lock = threading.Lock()
 
     def unrank(self, index: int) -> tuple[int, ...]:
@@ -437,39 +439,33 @@ class _Level:
         return Partition._canonical(self.n, self.rgs.get(index) or self.unrank(index))
 
     def fill(self, kind: type | None, i: int, j: int | None = None) -> int | list[int]:
-        """Compute ``memo[kind][i][j]``, or ``cores[i]`` when ``kind`` is ``None``; store it and return it.
+        """Compute ``memo[kind][i * size + j]``, or ``cores[i]`` when ``kind`` is ``None``; store it and return it.
 
         A connective runs its ``ops`` kernel on the rgs of ``i`` and
         ``j``, read from ``rgs`` or unranked and kept there, and ranks
-        its labels; no partition is built.  A fill writes at most
-        three entries, so when the level's count of entries could pass
-        ``_MEMO_LIMIT`` every table is cleared first.  Fills take the
-        level's lock, so when threads share the level the count never
-        falls below the entries held; it may pass them, when two threads
-        miss one entry and both fill it.  Readers take no lock, and a row
-        of ``memo`` that a reader already holds keeps its entries, which
-        stay right.
+        its labels; no partition is built.  A fill writes at most three
+        entries, so when the lengths of the level's tables sum past
+        ``_MEMO_LIMIT - 3`` every table is cleared first.  Fills take the
+        level's lock, so the sum stays within ``_MEMO_LIMIT`` when threads
+        share the level; two threads that miss one entry both store it
+        under one key.  Readers take no lock: a read finds a right entry
+        or misses and fills.
         """
         with self.lock:
-            if self.entries > _MEMO_LIMIT - 3:
-                for table in (*self.memo.values(), self.cores, self.rgs):
+            if sum(map(len, self.tables)) > _MEMO_LIMIT - 3:
+                for table in self.tables:
                     table.clear()
-                self.entries = 0
-            self.entries += 1
             if kind is None:
                 value = self.cores[i] = self.core(i)
                 return value
             rgs = self.rgs
-            for index in (i, j):
-                if index not in rgs:
-                    rgs[index] = self.unrank(index)
-                    self.entries += 1
-            y = rgs[j]
-            labels = self.kernels[kind](rgs[i], y)
+            x = rgs.get(i) or rgs.setdefault(i, self.unrank(i))
+            y = rgs.get(j) or rgs.setdefault(j, self.unrank(j))
+            labels = _KERNELS[kind](x, y)
             # The block rule marks the ends of the core of ``y`` (``ops._dissolve``):
             # ``y`` itself and the discrete partition, the last index, need no rank.
             value = j if labels is y else self.size - 1 if type(labels) is range else _rank(self.tails, labels)
-            self.memo[kind].setdefault(i, {})[j] = value
+            self.memo[kind][i * self.size + j] = value
             return value
 
     def core(self, index: int) -> list[int]:
@@ -651,8 +647,8 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
     the indiscrete partition, index 0, or the discrete one, ``top``.  A
     connective on indices, like a core's member list, is computed once
     by ``_Level.fill`` and read after that from the level's table for
-    that connective, ``memo[kind][i][j]``, in this scan and in every
-    later one at the same size.  It runs on levels from n=3; n=2 is
+    that connective, ``memo[kind][i * size + j]``, in this scan and in
+    every later one at the same size.  It runs on levels from n=3; n=2 is
     ``_truth_table``.
 
     ``sources[d]`` says where loop ``d`` takes its values.  ``None``
@@ -699,7 +695,7 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
             slots[slot] = v
             for out, kind, a, b in todo:
                 try:
-                    slots[out] = memo[kind][slots[a]][slots[b]]
+                    slots[out] = memo[kind][slots[a] * size + slots[b]]
                 except KeyError:
                     slots[out] = level.fill(kind, slots[a], slots[b])
             if last:
@@ -796,17 +792,18 @@ def find_partition_counterexample(
     lex-least counterexample.  A tautology never pays for it.
 
     Raises ``ValueError`` when ``max_n`` or ``budget`` is not an
-    ``int`` (a ``bool`` is not), when ``max_n < 2`` or ``budget < 1``,
-    and for a formula of more than ``MAX_TAUTOLOGY_VARS`` variables,
-    all before scanning anything, and
+    ``int`` (a ``bool`` is not), or when ``max_n < 2`` or
+    ``budget < 1``, before scanning anything, and
     :class:`SearchBudgetExceeded` before scanning any level whose
-    assignment count passes ``budget``.  Each size's ``_Level`` is built
-    once and kept for later calls, up to the first call with a smaller
-    ``max_n`` past 2, which drops every kept level first.  Partitions are
-    addressed by index, a level's tables hold at most ``_MEMO_LIMIT``
-    entries, and its ``3*n*n/4`` or so relabelling rows are built on the
-    first scan that prunes two or more variables by relabelling, where
-    Bell(n)**2 <= ``budget`` bounds them.
+    assignment count passes ``budget``.  At n=2 that count is the
+    ``2**k`` rows of the truth table, so the budget alone bounds the
+    variables: the default admits k <= 26.  Each size's ``_Level`` is
+    built once and kept for later calls, up to the first call with a
+    smaller ``max_n`` past 2, which drops every kept level first.
+    Partitions are addressed by index, a level's tables hold at most
+    ``_MEMO_LIMIT`` entries together, and its ``3*n*n/4`` or so
+    relabelling rows are built on the first scan that prunes two or more
+    variables by relabelling, where Bell(n)**2 <= ``budget`` bounds them.
     """
     for name, value, least in (("max_n", max_n, 2), ("budget", budget, 1)):
         if type(value) is not int:
@@ -815,8 +812,6 @@ def find_partition_counterexample(
             raise ValueError(f"{name} must be at least {least}")
     names, steps = _compile(f)
     k = len(names)
-    if k > MAX_TAUTOLOGY_VARS:
-        raise ValueError(f"formula has {k} variables, past the bound {MAX_TAUTOLOGY_VARS}")
     if max_n > 2 and _level.cache_info().currsize > max_n - 1:
         _level.cache_clear()
     deciding = None

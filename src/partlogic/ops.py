@@ -37,6 +37,7 @@ class BoolOp2(_Value):
     table: tuple[bool, bool, bool, bool]
 
     def __init__(self, table: tuple[bool, bool, bool, bool]):
+        table = tuple(table)
         if len(table) != 4 or not all(isinstance(v, bool) for v in table):
             raise ValueError("truth table needs exactly four boolean entries")
         _set_field(self, "table", table)

@@ -115,6 +115,11 @@ class TestBooleanCore:
             core_to_subset(core, outsider)
         with pytest.raises(ValueError, match="out of range"):
             core_from_subset(core, [5])
+        # an index is an int: a bool or a float is refused, not read as a block
+        with pytest.raises(ValueError, match="block index True is not an integer"):
+            core_from_subset(core, [True])
+        with pytest.raises(ValueError, match="block index 1.0 is not an integer"):
+            core_from_subset(core, [1.0])
 
     def test_entry_bound_refuses_every_core_of_15_blocks(self):
         # k non-singleton blocks need at least 2k elements, so the entry

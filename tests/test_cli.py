@@ -58,10 +58,16 @@ class TestCheck:
         _, out, _ = run(capsys, "check", text, "--max-size", "3")
         assert out.splitlines()[1] == f"classical: {'tautology' if classical else 'not a tautology'}"
 
-    def test_variable_bound_exits_two(self, capsys):
+    def test_the_budget_bounds_the_variables(self, capsys):
+        # 2**21 truth-table rows fit the default budget, and the all-False
+        # row is the first; 2**27 pass it.
         wide = " \\/ ".join(f"v{i}" for i in range(21))
-        code, _, err = run(capsys, "check", wide)
-        assert (code, err) == (2, "error: formula has 21 variables, past the bound 20\n")
+        code, out, err = run(capsys, "check", wide, "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["partition"] == {"status": "counterexample", "n": 2, "bound": 4,
+                                                "assignment": {f"v{i}": "{{a,b}}" for i in range(21)}}
+        code, _, err = run(capsys, "check", " \\/ ".join(f"v{i}" for i in range(27)))
+        assert (code, err) == (2, "error: level n=2 needs 134217728 assignments, past the budget 100000000\n")
 
     def test_parse_error_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "s \\/")
@@ -438,10 +444,11 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
-    # Each CLI call is a fresh process; these two modules cost it ~10 ms.
+    # Each CLI call is a fresh process; dataclasses and inspect cost it
+    # ~10 ms, and logging alone ~9.5 ms.
     script = (
         "import sys\n"
-        "def loaded(): return sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
+        "def loaded(): return sorted({'dataclasses', 'inspect', 'logging'} & sys.modules.keys())\n"
         "import partlogic\n"
         "print(loaded())\n"
         "import partlogic.cli\n"

@@ -447,10 +447,18 @@ class TestSubsetTautology:
         assert not is_subset_tautology(parse("s"))
         assert is_subset_tautology(parse("((s -> p) -> s) -> s"))
 
-    def test_variable_guard(self):
-        wide = " \\/ ".join(f"v{i}" for i in range(21))
-        with pytest.raises(ValueError, match="past the bound"):
-            is_subset_tautology(parse(wide))
+    def test_the_budget_bounds_the_variables(self):
+        # The truth table runs 2**k rows, and the default budget of 10**8
+        # admits k <= 26: memory stays one chunk of rows per step.
+        assert is_subset_tautology(self._wide(26, excluded_middle=True))
+        with pytest.raises(SearchBudgetExceeded, match="level n=2 needs 134217728 assignments"):
+            is_subset_tautology(self._wide(27, excluded_middle=True))
+
+    @staticmethod
+    def _wide(k: int, excluded_middle: bool = False) -> Formula:
+        """``v0 \\/ v1 \\/ ... \\/ v{k-1}``, with ``v0`` replaced by ``(v0 \\/ ~v0)`` for a tautology."""
+        first = "(v0 \\/ ~v0)" if excluded_middle else "v0"
+        return parse(" \\/ ".join([first] + [f"v{i}" for i in range(1, k)]))
 
 
 @pytest.fixture
@@ -587,8 +595,8 @@ class TestRefuter:
         assert held > 1 << 18 and left < 1 << 16
 
     @staticmethod
-    def _count_connectives(monkeypatch, names=("_implication",)) -> list[int]:
-        """Count the calls of the kernels ``names`` in levels built after this."""
+    def _count_connectives(monkeypatch, kinds=(Implies,)) -> list[int]:
+        """Count the calls of the kernels of the connectives ``kinds``."""
         calls = [0]
 
         def counting(production):
@@ -597,28 +605,28 @@ class TestRefuter:
                 return production(p, q)
             return count
 
-        for name in names:
-            monkeypatch.setattr(formula, name, counting(getattr(formula, name)))
+        for kind in kinds:
+            monkeypatch.setitem(formula._KERNELS, kind, counting(formula._KERNELS[kind]))
         return calls
 
     def test_one_variable_visits_the_block_shapes(self, monkeypatch, cold_levels):
         # one value per integer partition of n: 2+3+5+7+11+15+22+30+42 for n=2..10
         calls = self._count_connectives(monkeypatch)
         assert find_partition_counterexample(parse("s -> s"), max_n=10) is None
-        assert calls[0] <= 137
+        assert 0 < calls[0] <= 137
 
     def test_long_chain_reads_the_memo(self, monkeypatch, cold_levels):
         calls = self._count_connectives(monkeypatch)
         chain = parse(" -> ".join(["s"] * 10**4))
         assert find_partition_counterexample(chain) is None
-        assert calls[0] <= 100
+        assert 0 < calls[0] <= 100
 
     def test_negation_shares_the_memo_of_implication_into_0(self, monkeypatch, cold_levels):
         calls = self._count_connectives(monkeypatch)
         assert find_partition_counterexample(parse("~s \\/ s"), max_n=4) is not None
         before = calls[0]
         assert find_partition_counterexample(parse("(s -> 0) \\/ s"), max_n=4) is not None
-        assert calls[0] == before
+        assert calls[0] == before > 0
 
     def test_a_warm_level_computes_nothing_twice(self, monkeypatch, cold_levels):
         # 0 -> 0 depends on no variable; it is folded before any loop.
@@ -692,15 +700,23 @@ class TestRefuter:
         formula._level.cache_clear()
         for name, value in limits.items():
             monkeypatch.setattr(f"partlogic.formula.{name}", value)
+        # The one writer keeps the lengths of every level's tables, summed,
+        # within the bound after each of its fills.
+        fill = formula._Level.fill
+
+        def bounded_fill(level, *args):
+            value = fill(level, *args)
+            assert self._entries(level) <= formula._MEMO_LIMIT
+            return value
+        monkeypatch.setattr(formula._Level, "fill", bounded_fill)
         assert [find_partition_counterexample(f, max_n=4) for f in corpus] == expected
         assert [find_partition_counterexample(f, max_n=4) for f in reversed(corpus)] == expected[::-1]
-        # The one writer keeps the entries of every level's tables, together, within the bound.
         assert all(self._entries(formula._level(n)) <= formula._MEMO_LIMIT for n in range(2, 5))
 
     def test_threads_sharing_a_level_keep_its_count(self, monkeypatch, cold_levels):
         # More threads than cores fill tiny shared tables at once, switching
-        # often: every result stands, and a lost update of the count would
-        # leave it below the entries the tables hold.
+        # often: every result stands, and the lock around each fill keeps
+        # the lengths of a level's tables, summed, within the bound.
         corpus = [pi_negation_transform(parse(text), "z") for _, text in CLASSICAL_TAUTOLOGIES[-4:]]
         corpus += [parse(text) for text in REDUCIBLE_FAILURES] + [parse("(s -> p) \\/ (p -> s)")]
         expected = [find_partition_counterexample(f, max_n=4) for f in corpus]
@@ -718,12 +734,12 @@ class TestRefuter:
         assert results == [expected] * 4
         for n in (3, 4):
             level = formula._level(n)
-            assert self._entries(level) <= level.entries <= formula._MEMO_LIMIT
+            assert self._entries(level) <= formula._MEMO_LIMIT
 
     @staticmethod
     def _entries(level) -> int:
         """The entries of a level's tables: connective values, core member lists and rgs tuples."""
-        return sum(map(len, itertools.chain(*map(dict.values, level.memo.values())))) + len(level.cores) + len(level.rgs)
+        return sum(len(table) for table in (*level.memo.values(), level.cores, level.rgs))
 
     @pytest.mark.parametrize("text, reduced", [("(s -> z) /\\ (s -> p)", [("p", 0), ("s", 1), ("z", 0)]),
                                                ("s -> s", []),
@@ -781,7 +797,7 @@ class TestRefuter:
             for (i, p), (j, q) in itertools.product(enumerate(parts), repeat=2):
                 value = index[op(p, q)]
                 assert level.fill(kind, i, j) == value == formula._rank(level.tails, op(p, q).rgs)
-                assert level.memo[kind][i][j] == value
+                assert level.memo[kind][i * level.size + j] == value
         assert level.rgs == {i: p.rgs for i, p in enumerate(parts)}
         assert [level.partition(i) for i in range(level.size)] == parts
 
@@ -809,20 +825,20 @@ class TestRefuter:
         calls = self._count_connectives(monkeypatch)
         syllogism = pi_negation_transform(parse("((s -> p) /\\ (p -> q)) -> (s -> q)"), "z")
         assert find_partition_counterexample(syllogism, max_n=5) is None
-        assert calls[0] <= 70
+        assert 0 < calls[0] <= 70
 
     def test_pure_variables_get_no_loop(self, monkeypatch, cold_levels):
-        calls = self._count_connectives(monkeypatch, ("_meet", "_join", "_implication"))
+        calls = self._count_connectives(monkeypatch, (And, Or, Implies))
         # p is pinned at 0 and q at 1, so ~q folds to 0 and s alone is scanned:
         # s -> s once per block shape, 3+5+7 for n=3..5, and one join per level
         assert find_partition_counterexample(parse("((s -> s) \\/ p) \\/ ~q"), max_n=5) is None
-        assert calls[0] <= 18
+        assert 0 < calls[0] <= 18
         # q's core loop reads the folded top of 0 -> 0 and binds the implication
         # to that one member: one implication and one meet per level
         calls[0] = 0
         formula._level.cache_clear()
         assert find_partition_counterexample(parse(f"{FOLDED} /\\ ({FOLDED} -> {FOLDED})"), max_n=5) is None
-        assert calls[0] <= 6
+        assert 0 < calls[0] <= 6
 
     def test_budget_guard(self):
         f = parse("s \\/ ~s \\/ p \\/ q")
@@ -846,12 +862,20 @@ class TestRefuter:
         # the smallest budget still runs a level that fits it
         assert find_partition_counterexample(parse("1"), budget=1) is None
 
-    def test_variable_bound(self):
-        # The refuter owns the bound: a scan of the 2**21 truth-table rows is
-        # refused before it starts.
-        wide = parse(" \\/ ".join(f"v{i}" for i in range(21)))
-        with pytest.raises(ValueError, match="formula has 21 variables, past the bound 20"):
-            find_partition_counterexample(wide, max_n=2)
+    def test_the_budget_alone_bounds_the_variables(self):
+        # No bound on the number of variables: the n=2 level's 2**k rows are
+        # checked against the budget like any level's assignments.
+        wide = TestSubsetTautology._wide(21)
+        bottom = Partition.indiscrete(2)
+        assert find_partition_counterexample(wide, max_n=2) == Assignment(2, {f"v{i}": bottom for i in range(21)})
+        message = "^level n=2 needs 134217728 assignments, past the budget 100000000$"
+        with pytest.raises(SearchBudgetExceeded, match=message):
+            find_partition_counterexample(TestSubsetTautology._wide(27), max_n=2)
+        # a level whose count equals the budget runs
+        three = TestSubsetTautology._wide(3, excluded_middle=True)
+        assert find_partition_counterexample(three, max_n=2, budget=8) is None
+        with pytest.raises(SearchBudgetExceeded, match="level n=2 needs 8 assignments, past the budget 7"):
+            find_partition_counterexample(three, max_n=2, budget=7)
 
     def test_partition_validity_implies_subset_validity(self):
         # every formula over two variables up to depth 3: the n=2 level

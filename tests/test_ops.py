@@ -272,5 +272,11 @@ class TestGraphMethod:
     def test_table_validation(self):
         with pytest.raises(ValueError, match="four boolean"):
             BoolOp2((True, False))
+        # a list is copied into a tuple: the value is OR, hashes, and stays frozen
+        entries = [False, True, True, True]
+        listed = BoolOp2(entries)
+        entries[0] = True
+        assert listed.table == (False, True, True, True)
+        assert listed == BoolOp2((False, True, True, True)) and len({listed, BoolOp2((False, True, True, True))}) == 1
         assert IMPLIES(True, False) is False
         assert IMPLIES(False, False) is True
