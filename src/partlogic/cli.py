@@ -67,7 +67,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
             "bound": args.max_size,
         }
         bound = ", ".join(f"{name}={text}" for name, text in report["partition"]["assignment"].items())
-        verdict = f"counterexample at n={cex.n}: {bound}"
+        verdict = f"counterexample at n={cex.n}: {bound}" if bound else f"counterexample at n={cex.n}"
     code = 0 if cex is None else 1
     if args.format == "json":
         return code, json.dumps(report)

@@ -123,6 +123,22 @@ class TestCheck:
         assert err.startswith("usage: partlogic ")
         assert err.endswith("partlogic: error: unrecognized arguments: --jobs 2\n")
 
+    def test_closed_counterexample_binds_nothing(self, capsys):
+        code, out, _ = run(capsys, "check", "0")
+        assert (code, out.splitlines()[-1]) == (1, "partition: counterexample at n=2")
+        _, out, _ = run(capsys, "check", "0", "--format", "json")
+        assert out == ('{"formula": "0", "classical": false, "partition": '
+                       '{"status": "counterexample", "n": 2, "assignment": {}, "bound": 4}}\n')
+
+    def test_levels_past_the_budget_exit_two(self, capsys):
+        # The levels up to --max-size are built in order and stop at the first
+        # over the budget, so a million of them cost nothing.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "s -> (p -> s)", "--max-size", "1000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: level n=9 needs 447195609 assignments, past the budget 100000000\n"
+
     def test_closed_formula_at_a_large_max_size(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(capsys, "check", "1", "--max-size", "100000")

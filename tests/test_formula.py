@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -82,6 +83,13 @@ repeated_formulas = st.recursive(
     ),
     max_leaves=8,
 )
+# Formulas over s, p, q and 1 with no 0 and no ~, which compiles to ``-> 0``.
+zero_free_formulas = st.recursive(
+    st.sampled_from([Const1(), Var("s"), Var("p"), Var("q")]),
+    lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner),
+                            st.builds(Implies, inner, inner)),
+    max_leaves=12,
+)
 # Token spellings, whitespace, characters that start no token (``2``,
 # ``\u00e9``) or start one they do not finish (``-``), and whole printed
 # formulas, so that well-formed text is common too, run together.
@@ -131,14 +139,14 @@ def one_node_mutations(f: Formula) -> list[Formula]:
     return out + [op(g, right) for g in one_node_mutations(left)] + [op(left, g) for g in one_node_mutations(right)]
 
 
-def grow(rng: random.Random, leaves: int, atoms: list[Formula]) -> Formula:
-    """A seeded random formula of ``leaves`` atoms drawn from ``atoms``."""
+def grow(rng: random.Random, leaves: int, atoms: list[Formula], negation: float = 0.2) -> Formula:
+    """A seeded random formula of ``leaves`` atoms drawn from ``atoms``, with a ``~`` at a node by chance ``negation``."""
     if leaves == 1:
         return rng.choice(atoms)
-    if rng.random() < 0.2:
-        return Not(grow(rng, leaves - 1, atoms))
+    if rng.random() < negation:
+        return Not(grow(rng, leaves - 1, atoms, negation))
     split = rng.randint(1, leaves - 1)
-    return rng.choice([And, Or, Implies])(grow(rng, split, atoms), grow(rng, leaves - split, atoms))
+    return rng.choice([And, Or, Implies])(grow(rng, split, atoms, negation), grow(rng, leaves - split, atoms, negation))
 
 
 ATOMS = [Const0(), Const1(), Var("s"), Var("p"), Var("q")]
@@ -610,10 +618,11 @@ class TestRefuter:
         return calls
 
     def test_one_variable_visits_the_block_shapes(self, monkeypatch, cold_levels):
-        # one value per integer partition of n: 2+3+5+7+11+15+22+30+42 for n=2..10
+        # one value per integer partition of n, at n=10 alone: a formula
+        # without 0 is decided at its top level
         calls = self._count_connectives(monkeypatch)
         assert find_partition_counterexample(parse("s -> s"), max_n=10) is None
-        assert 0 < calls[0] <= 137
+        assert 0 < calls[0] <= 42
 
     def test_long_chain_reads_the_memo(self, monkeypatch, cold_levels):
         calls = self._count_connectives(monkeypatch)
@@ -825,7 +834,7 @@ class TestRefuter:
         calls = self._count_connectives(monkeypatch)
         syllogism = pi_negation_transform(parse("((s -> p) /\\ (p -> q)) -> (s -> q)"), "z")
         assert find_partition_counterexample(syllogism, max_n=5) is None
-        assert 0 < calls[0] <= 70
+        assert 0 < calls[0] <= 37
 
     def test_pure_variables_get_no_loop(self, monkeypatch, cold_levels):
         calls = self._count_connectives(monkeypatch, (And, Or, Implies))
@@ -839,6 +848,55 @@ class TestRefuter:
         formula._level.cache_clear()
         assert find_partition_counterexample(parse(f"{FOLDED} /\\ ({FOLDED} -> {FOLDED})"), max_n=5) is None
         assert 0 < calls[0] <= 6
+
+    @pytest.mark.parametrize("text, max_n, levels", [
+        # no 0: a tautology scans its top level alone
+        ("s -> s", 5, [5]),
+        ("(1 -> s) -> s /\\ 1", 4, [4]),
+        # a 0 or a ~ scans every level from n=3
+        ("~s -> ~s", 5, [3, 4, 5]),
+        ("s /\\ 0 -> s", 4, [3, 4]),
+        ("(s -> p) \\/ (p -> s) \\/ ~q", 5, [3, 4, 4]),
+        # no 0, refuted: the top level decides, the levels from n=3 locate the
+        # least hit, and its level reruns in name order when p is pinned at 1
+        ("(s -> p) \\/ (p -> s)", 4, [4, 3]),
+        ("(z -> s) \\/ (p -> z) \\/ (s -> z)", 4, [4, 3, 4]),
+        ("(z -> s) \\/ (p -> z) \\/ (s -> z)", 6, [6, 3, 4, 4]),
+        # a top level over the budget: every level in order, refuted below it
+        ("(s -> p) \\/ (p -> s)", 10, [3, 4]),
+    ])
+    def test_levels_scanned(self, monkeypatch, text, max_n, levels):
+        seen = self._record_scans(monkeypatch)
+        f = parse(text)
+        cex = find_partition_counterexample(f, max_n=max_n)
+        assert seen == levels
+        if max_n == 4:
+            assert cex == self._least_counterexample(f, max_n)
+
+    @staticmethod
+    def _record_scans(monkeypatch) -> list[int]:
+        """Record the ``level.n`` of every ``_scan`` call."""
+        seen = []
+        scan = formula._scan
+        monkeypatch.setattr(formula, "_scan", lambda level, *args: seen.append(level.n) or scan(level, *args))
+        return seen
+
+    def test_no_level_past_the_budget_is_built(self, monkeypatch, cold_levels):
+        # The levels are built in order and checked against the budget before
+        # the top one is scanned: the first over it, n=9, is the last built,
+        # and the levels below it are scanned in order before the error.
+        seen = self._record_scans(monkeypatch)
+        f = parse("s -> (p -> s)")
+        message = "^level n=9 needs 447195609 assignments, past the budget 100000000$"
+        with pytest.raises(SearchBudgetExceeded, match=message):
+            find_partition_counterexample(f, max_n=40)
+        assert formula._level.cache_info().currsize == 8  # n=2..9
+        assert seen == [3, 4, 5, 6, 7, 8]
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded, match=message):
+            find_partition_counterexample(f, max_n=10**6)
+        assert time.perf_counter() - start < 0.5
+        assert formula._level.cache_info().currsize == 8
 
     def test_budget_guard(self):
         f = parse("s \\/ ~s \\/ p \\/ q")
@@ -967,6 +1025,51 @@ class TestTruthTable:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+class TestSingletonExtension:
+    """A fresh element that is a singleton in every variable keeps a counterexample.
+
+    So a formula without ``0`` that has a counterexample at n has one at
+    every larger size, and the refuter decides it at ``max_n`` alone.
+    """
+
+    @staticmethod
+    def _extend(p: Partition) -> Partition:
+        """``p`` with a new element ``p.n`` in a block of its own."""
+        return Partition.from_labels(p.rgs + (p.n,))
+
+    @settings(deadline=None)
+    @given(zero_free_formulas, st.integers(1, 5), st.data())
+    def test_a_fresh_singleton_extends_the_root(self, f, n, data):
+        bindings = {name: data.draw(partitions_of(n)) for name in "spq"}
+        root = eval_partition(f, Assignment(n, bindings))
+        extended = Assignment(n + 1, {name: self._extend(p) for name, p in bindings.items()})
+        assert eval_partition(f, extended) == self._extend(root)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_0_does_not_extend(self, n):
+        # The indiscrete partition puts the new element in its one block, so
+        # a formula with 0, or with ~, keeps the level-by-level scan.
+        assert eval_partition(Const0(), Assignment(n + 1, {})) != self._extend(Partition.indiscrete(n))
+
+    def test_verdicts_per_level_are_monotone(self):
+        # Whether each level n=2..5 has a counterexample, by the truth table
+        # and the deciding scan: once one has, every larger one has too.
+        rng = random.Random(30)
+        corpus = [parse(text) for _, text in CLASSICAL_TAUTOLOGIES + NON_TAUTOLOGIES]
+        corpus += [pi_negation_transform(f, "z") for f in corpus]
+        corpus += [grow(rng, rng.randint(2, 8), ATOMS[1:], negation=0) for _ in range(100)]
+        first_failures = Counter()
+        for f in corpus:
+            names, steps = formula._compile(f)
+            k = len(names)
+            deciding = formula._schedule(steps, k, *formula._analyse(steps))
+            verdicts = [formula._truth_table(steps, k) is not None]
+            verdicts += [formula._scan(formula._level(n), deciding) is not None for n in range(3, 6)]
+            assert verdicts == sorted(verdicts)
+            first_failures[verdicts.index(True) + 2 if True in verdicts else None] += 1
+        assert all(first_failures[n] for n in (None, 2, 3, 4))
 
 
 class TestCensus:
