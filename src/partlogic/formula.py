@@ -791,7 +791,8 @@ def find_partition_counterexample(
     counterexample and is lex-no-greater, and its scan returns the
     lex-least counterexample.  A tautology never pays for it.
 
-    A formula with no ``0`` step, so no ``~`` either, is decided at
+    A formula with no ``0`` step, so no ``~`` either, and at most one
+    loop over the whole level in its deciding schedule is decided at
     ``max_n`` alone once every level up to it fits the budget: a
     counterexample at n gives one at n+1.  Add an element that is a
     singleton in every variable, and in ``1``, the discrete partition.
@@ -802,8 +803,13 @@ def find_partition_counterexample(
     non-discrete.  ``0``, the indiscrete partition, puts the new element
     in its one block, and such a formula scans level by level.  No hit
     at ``max_n`` means none below it; on a hit the levels from n=3 run
-    in order, the deciding hit stands for ``max_n`` if none of them
-    hits, and the name-order rerun follows as above.
+    in order as above, to find the least one.  The loop rule bounds what
+    a formula refuted below ``max_n`` pays for the top scan.  With one
+    such loop, which takes only the block shapes, and every other
+    variable pinned or over a core, a level costs a small multiple of
+    the one below it; each further such loop takes up to Bell(n) values,
+    so the top level would cost Bell(max_n) / Bell(max_n - 1) times the
+    one below it or more.
 
     Raises ``ValueError`` when ``max_n`` or ``budget`` is not an
     ``int`` (a ``bool`` is not), or when ``max_n < 2`` or
@@ -828,7 +834,7 @@ def find_partition_counterexample(
     k = len(names)
     if max_n > 2 and _level.cache_info().currsize > max_n - 1:
         _level.cache_clear()
-    deciding = top = None
+    deciding = None
     for n in range(2, (max_n if names else 2) + 1):
         level = _level(n)
         count = level.size ** k
@@ -842,12 +848,11 @@ def find_partition_counterexample(
             if deciding is None:
                 pins, cores = _analyse(steps)
                 deciding = _schedule(steps, k, pins, cores)
-                if n < max_n and (Const0, None, None) not in steps and all(
-                        _level(m).size ** k <= budget for m in range(n + 1, max_n + 1)):
-                    top = _scan(_level(max_n), deciding)
-                    if top is None:
-                        return None
-            hit = top if n == max_n and top is not None else _scan(level, deciding)
+                if (n < max_n and k - len(pins) - len(cores) < 2 and (Const0, None, None) not in steps
+                        and all(_level(m).size ** k <= budget for m in range(n + 1, max_n + 1))
+                        and _scan(_level(max_n), deciding) is None):
+                    return None
+            hit = _scan(level, deciding)
             if hit is not None and (cores or any(pins.values())):
                 lows = {v: pin for v, pin in pins.items() if not pin}
                 hit = _scan(level, _schedule(steps, k, lows, {}))

@@ -133,9 +133,7 @@ class TestCheck:
     def test_levels_past_the_budget_exit_two(self, capsys):
         # The levels up to --max-size are built in order and stop at the first
         # over the budget, so a million of them cost nothing.
-        start = time.perf_counter()
         code, out, err = run(capsys, "check", "s -> (p -> s)", "--max-size", "1000000")
-        assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == "error: level n=9 needs 447195609 assignments, past the budget 100000000\n"
 

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import random
 import sys
-import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -850,27 +849,34 @@ class TestRefuter:
         assert 0 < calls[0] <= 6
 
     @pytest.mark.parametrize("text, max_n, levels", [
-        # no 0: a tautology scans its top level alone
+        # no 0 and at most one loop over the whole level: a tautology scans
+        # its top level alone
         ("s -> s", 5, [5]),
         ("(1 -> s) -> s /\\ 1", 4, [4]),
+        ("((s -> z) -> (p -> z)) \\/ ((p -> z) -> (s -> z))", 6, [6]),
+        # refuted: the top level decides, the levels from n=3 locate the
+        # least hit, and its level reruns in name order when p is taken
+        # over a core
+        ("q \\/ (q -> p)", 5, [5, 3]),
+        ("z -> (p -> q) \\/ p", 5, [5, 3, 3]),
         # a 0 or a ~ scans every level from n=3
         ("~s -> ~s", 5, [3, 4, 5]),
         ("s /\\ 0 -> s", 4, [3, 4]),
         ("(s -> p) \\/ (p -> s) \\/ ~q", 5, [3, 4, 4]),
-        # no 0, refuted: the top level decides, the levels from n=3 locate the
-        # least hit, and its level reruns in name order when p is pinned at 1
-        ("(s -> p) \\/ (p -> s)", 4, [4, 3]),
-        ("(z -> s) \\/ (p -> z) \\/ (s -> z)", 4, [4, 3, 4]),
-        ("(z -> s) \\/ (p -> z) \\/ (s -> z)", 6, [6, 3, 4, 4]),
+        # two loops over the whole level, s and p or z and s: every level in
+        # order, since the top would cost a formula refuted below it far more
+        # than the levels it skips
+        ("(s -> p) \\/ (p -> s)", 4, [3, 4]),
+        ("(z -> s) \\/ (p -> z) \\/ (s -> z)", 6, [3, 4, 4]),
         # a top level over the budget: every level in order, refuted below it
-        ("(s -> p) \\/ (p -> s)", 10, [3, 4]),
+        ("q \\/ (q -> p)", 10, [3]),
     ])
     def test_levels_scanned(self, monkeypatch, text, max_n, levels):
         seen = self._record_scans(monkeypatch)
         f = parse(text)
         cex = find_partition_counterexample(f, max_n=max_n)
         assert seen == levels
-        if max_n == 4:
+        if max_n <= 5:
             assert cex == self._least_counterexample(f, max_n)
 
     @staticmethod
@@ -892,10 +898,8 @@ class TestRefuter:
             find_partition_counterexample(f, max_n=40)
         assert formula._level.cache_info().currsize == 8  # n=2..9
         assert seen == [3, 4, 5, 6, 7, 8]
-        start = time.perf_counter()
         with pytest.raises(SearchBudgetExceeded, match=message):
             find_partition_counterexample(f, max_n=10**6)
-        assert time.perf_counter() - start < 0.5
         assert formula._level.cache_info().currsize == 8
 
     def test_budget_guard(self):
@@ -1031,7 +1035,7 @@ class TestSingletonExtension:
     """A fresh element that is a singleton in every variable keeps a counterexample.
 
     So a formula without ``0`` that has a counterexample at n has one at
-    every larger size, and the refuter decides it at ``max_n`` alone.
+    every larger size, and the refuter may decide it at ``max_n`` alone.
     """
 
     @staticmethod
