@@ -855,8 +855,8 @@ class TestRefuter:
         ("(1 -> s) -> s /\\ 1", 4, [4]),
         ("((s -> z) -> (p -> z)) \\/ ((p -> z) -> (s -> z))", 6, [6]),
         # refuted: the top level decides, the levels from n=3 locate the
-        # least hit, and its level reruns in name order when p is taken
-        # over a core
+        # least hit, and its level reruns in name order when z is pinned
+        # at the discrete partition
         ("q \\/ (q -> p)", 5, [5, 3]),
         ("z -> (p -> q) \\/ p", 5, [5, 3, 3]),
         # a 0 or a ~ scans every level from n=3
