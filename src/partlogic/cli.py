@@ -4,7 +4,8 @@ Exit codes are the machine contract: 0 means pass or no counterexample,
 1 means a counterexample was found or a suite check failed, 2 means a
 usage, parse, or guard error; ``main(argv)`` returns one of them for
 every argv.  Handlers return their code and text and ``main`` alone
-writes, so a closed stdout keeps the verdict's code.
+writes, so a closed stdout keeps the verdict's code and any other failed
+write returns 2.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def cmd_suite(args: argparse.Namespace) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its sub-command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="partlogic",
         description="Algebra and logic of finite set partitions.",
@@ -259,38 +261,69 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_suite)
     p_suite.set_defaults(handler=cmd_suite)
 
-    return parser
+    return parser, sub.choices
 
 
-# Built once per process: parse_args leaves the parser as it is and fills a
-# fresh Namespace per call, so in-process callers share it safely.
-_PARSER = _build_parser()
+# Built once per process: parsing leaves the parsers as they are and fills a
+# fresh Namespace per call, so in-process callers share them safely.
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with one pass over a command's argv.
+
+    argparse's own dispatch hands the words after the command to that
+    command's parser and reports leftovers through the top-level parser;
+    this does the same without first scanning the argv at the top level.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _to_devnull(stream) -> None:
+    """Point a failed standard stream's descriptor at devnull, so the flush at exit does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(message: str) -> int:
+    """Write one ``error:`` line to stderr, if it can be written, and return 2."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse has written its usage or help text: 2 for a usage error, 0 for --help.
         return exc.code
     try:
         code, text = args.handler(args)
     except (ValueError, SearchBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     except Exception as exc:
         # Exit 1 is reserved for a counterexample or a failed suite; anything
         # else that escapes a handler is an error.
-        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
-        return 2
+        return _error(f"{type(exc).__name__}: {' '.join(str(exc).split())}")
     try:
         print(text, flush=True)
     except BrokenPipeError:
-        # The reader closed the pipe; the verdict's code stands.  Stdout now
-        # points at devnull, so the flush at exit does not fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader closed the pipe; the verdict's code stands.
+        _to_devnull(sys.stdout)
+    except OSError as exc:
+        # Any other failed write (a full disk) loses the verdict: an error.
+        _to_devnull(sys.stdout)
+        return _error(f"cannot write the output: {exc}")
     return code
 
 

@@ -69,6 +69,21 @@ def _universe(n: int) -> int:
     return n
 
 
+def _grouped(rgs: Sequence[int], items: Sequence) -> list[list]:
+    """``items[u]`` for each element ``u``, grouped into the blocks of ``rgs`` in block order.
+
+    One pass: in restricted-growth form each block index is at most one
+    past the blocks seen so far.
+    """
+    blocks: list[list] = []
+    for item, b in zip(items, rgs):
+        if b < len(blocks):
+            blocks[b].append(item)
+        else:
+            blocks.append([item])
+    return blocks
+
+
 def _equivalence_bits(labels: Sequence[Hashable]) -> int:
     """Relation bits pairing every two elements of ``0..n-1`` that carry equal labels."""
     n = len(labels)
@@ -337,10 +352,7 @@ class Partition(_Value):
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks ordered by least element, elements ascending."""
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for u, b in enumerate(self.rgs):
-            out[b].append(u)
-        return tuple(tuple(block) for block in out)
+        return tuple(map(tuple, _grouped(self.rgs, range(self.n))))
 
     @cached_property
     def inditset(self) -> BinaryRelation:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import string
 
-from .core import Partition
+from .core import Partition, _grouped
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -89,7 +89,7 @@ def format_partition(p: Partition, labels: tuple[str, ...] | None = None) -> str
         labels = default_labels(p.n)
     if len(labels) != p.n:
         raise ValueError(f"{len(labels)} labels for universe size {p.n}")
-    return "{" + ",".join("{" + ",".join(labels[u] for u in block) + "}" for block in p.blocks) + "}"
+    return "{{" + "},{".join(map(",".join, _grouped(p.rgs, labels))) + "}}"
 
 
 def format_rgs(p: Partition) -> str:

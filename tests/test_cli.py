@@ -483,6 +483,28 @@ class TestOneParser:
             _build_parser()
         assert built.call_count == 7  # the counter sees a parser and its six sub-parsers
 
+    def test_commands_skip_the_top_level_parser(self, capsys):
+        # A command's argv goes straight to that command's parser.
+        parser = partlogic.cli._PARSER
+        with mock.patch.object(parser, "parse_known_args", wraps=parser.parse_known_args) as top:
+            codes = [run(capsys, *argv)[0] for argv in MIXED_ARGVS]
+            assert top.call_count == 0
+            run(capsys, "--help")
+            assert top.call_count == 1
+        assert codes == [1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+
+    @pytest.mark.parametrize("argv", [pytest.param(argv, id=" ".join(argv) or "(none)") for argv in [
+        [], ["--help"], ["-h"], ["nonsense"], ["check"], ["check", "s", "--jobs", "2"],
+        ["check", "s", "--max-size", "x"], ["check", "s", "-h"], ["suite", "nonsense"],
+        ["--", "check", "s"], ["check", "--", "s"], *MIXED_ARGVS,
+    ]])
+    def test_dispatch_matches_argparse(self, capsys, monkeypatch, argv):
+        # argparse's own path: the top-level parser scans the argv, hands the
+        # command's words to its parser, and reports any leftovers itself.
+        got = run(capsys, *argv)
+        monkeypatch.setattr(partlogic.cli, "_parse_args", _build_parser()[0].parse_args)
+        assert got == run(capsys, *argv)
+
     def test_outputs_do_not_depend_on_call_order(self, capsys):
         forward = [run(capsys, *argv) for argv in MIXED_ARGVS]
         backward = [run(capsys, *argv) for argv in reversed(MIXED_ARGVS)][::-1]
@@ -499,7 +521,7 @@ class TestOneWriter:
         code, out, err = run(capsys, *argv)
         if err.startswith("usage:"):
             return  # argparse refused the argv before any handler ran
-        args = _build_parser().parse_args(argv)
+        args = _build_parser()[0].parse_args(argv)
         try:
             got = args.handler(args)
         except ValueError as exc:
@@ -529,6 +551,28 @@ class TestOneWriter:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (code, "")
+
+
+    # /dev/full fails every write with ENOSPC.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("stream, argv", [
+        ("stdout", ["check", "s -> s"]),
+        ("stdout", ["check", "s"]),
+        ("stderr", ["check", "("]),
+        ("stderr", ["check", "s", "--max-size", "1"]),
+    ])
+    def test_failed_write_exits_two(self, stream, argv):
+        # Buffered streams, as by default: the flush at exit writes what a failed write left behind.
+        env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: full}
+            proc = subprocess.run([sys.executable, "-m", "partlogic.cli", *argv], text=True, env=env,
+                                  timeout=60, **streams)
+        if stream == "stdout":
+            assert (proc.returncode, proc.stderr.count("\n")) == (2, 1)
+            assert proc.stderr.startswith("error: cannot write the output: [Errno 28] ")
+        else:
+            assert (proc.returncode, proc.stdout) == (2, "")
 
 
 formula_texts = st.one_of(

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from partlogic import Partition, default_labels, format_partition, format_rgs, parse_partition
+from partlogic import Partition, default_labels, enumerate_partitions, format_partition, format_rgs, parse_partition
 
 from conftest import partitions
 
@@ -69,6 +69,18 @@ class TestFormat:
         p = Partition.from_blocks([[2], [0, 1], [3]], 4)
         assert format_partition(p) == "{{a,b},{c},{d}}"
         assert format_partition(p, ("w", "x", "y", "z")) == "{{w,x},{y},{z}}"
+
+        def from_blocks(q, labels):
+            return "{" + ",".join("{" + ",".join(labels[u] for u in block) + "}" for block in q.blocks) + "}"
+
+        wide = [Partition.discrete(27), Partition.indiscrete(27)]
+        wide += [Partition.from_labels([u * u % k for u in range(27)]) for k in (2, 5, 13)]
+        for q in [*(q for n in range(1, 7) for q in enumerate_partitions(n)), *wide]:
+            custom = tuple(sorted(f"v{10 * u + 9}" for u in range(q.n)))
+            for labels in (default_labels(q.n), custom):
+                assert format_partition(q, labels) == from_blocks(q, labels)
+            assert format_partition(q) == from_blocks(q, default_labels(q.n))
+        assert format_partition(wide[0]).startswith("{{x00},{x01},")
 
     def test_rgs_form(self):
         assert format_rgs(Partition.from_blocks([[0, 1], [2]], 3)) == "rgs:0,0,1"
