@@ -552,7 +552,6 @@ class TestOneWriter:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (code, "")
 
-
     # /dev/full fails every write with ENOSPC.
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("stream, argv", [

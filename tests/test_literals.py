@@ -71,6 +71,7 @@ class TestFormat:
         assert format_partition(p, ("w", "x", "y", "z")) == "{{w,x},{y},{z}}"
 
         def from_blocks(q, labels):
+            assert q.blocks == tuple(tuple(u for u in range(q.n) if q.rgs[u] == b) for b in range(q.num_blocks))
             return "{" + ",".join("{" + ",".join(labels[u] for u in block) + "}" for block in q.blocks) + "}"
 
         wide = [Partition.discrete(27), Partition.indiscrete(27)]
