@@ -4,8 +4,9 @@ Exit codes are the machine contract: 0 means pass or no counterexample,
 1 means a counterexample was found or a suite check failed, 2 means a
 usage, parse, or guard error; ``main(argv)`` returns one of them for
 every argv.  Handlers return their code and text and ``main`` alone
-writes, so a closed stdout keeps the verdict's code and any other failed
-write returns 2.
+writes, through ``_write`` as argparse's usage, help and error text does,
+so a closed stdout keeps the verdict's code and any other failed write
+returns 2.
 """
 
 from __future__ import annotations
@@ -215,9 +216,47 @@ def cmd_suite(args: argparse.Namespace) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` and flush it.
+
+    A failed stream's descriptor is pointed at devnull, so the flush at
+    exit does not fail again.  A closed pipe is the reader's choice and
+    passes; any other failure (a full disk) is raised.
+    """
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage, help and error text go through ``_write``.
+
+    argparse's own writes drop an ``OSError``, and a failed flush at exit
+    then changes the exit code.  Its sub-command parsers are of this class
+    too, since ``add_subparsers`` makes them of the parser's own class.
+    """
+
+    def print_usage(self, file=None):
+        _write(file or sys.stdout, self.format_usage())
+
+    def print_help(self, file=None):
+        _write(file or sys.stdout, self.format_help())
+
+    def exit(self, status=0, message=None):
+        if message:
+            _write(sys.stderr, message)
+        sys.exit(status)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and its sub-command parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partlogic",
         description="Algebra and logic of finite set partitions.",
     )
@@ -285,19 +324,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _to_devnull(stream) -> None:
-    """Point a failed standard stream's descriptor at devnull, so the flush at exit does not fail again."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
-
-
 def _error(message: str) -> int:
     """Write one ``error:`` line to stderr, if it can be written, and return 2."""
     try:
-        print(f"error: {message}", file=sys.stderr, flush=True)
+        _write(sys.stderr, f"error: {message}\n")
     except OSError:
-        _to_devnull(sys.stderr)
+        pass  # stderr is devnull now, and the code is 2 either way
     return 2
 
 
@@ -307,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse has written its usage or help text: 2 for a usage error, 0 for --help.
         return exc.code
+    except OSError as exc:
+        # argparse could not write its usage or help text.
+        return _error(f"cannot write the output: {exc}")
     try:
         code, text = args.handler(args)
     except (ValueError, SearchBudgetExceeded) as exc:
@@ -316,13 +351,9 @@ def main(argv: list[str] | None = None) -> int:
         # else that escapes a handler is an error.
         return _error(f"{type(exc).__name__}: {' '.join(str(exc).split())}")
     try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # The reader closed the pipe; the verdict's code stands.
-        _to_devnull(sys.stdout)
+        _write(sys.stdout, text + "\n")
     except OSError as exc:
-        # Any other failed write (a full disk) loses the verdict: an error.
-        _to_devnull(sys.stdout)
+        # A failed write other than a closed pipe loses the verdict: an error.
         return _error(f"cannot write the output: {exc}")
     return code
 

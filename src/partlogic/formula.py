@@ -23,7 +23,7 @@ import threading
 from array import array
 from typing import Mapping, Sequence
 
-from .core import Partition, _Value, _set_field, enumerate_partitions
+from .core import Partition, _Value, _set_field, _universe, enumerate_partitions
 from .algebra import boolean_core
 from .ops import _implication, _join, _meet, implication_blocks, join, meet
 
@@ -258,10 +258,12 @@ class Assignment(_Value):
     bindings: Mapping[str, Partition]
 
     def __init__(self, n: int, bindings: Mapping[str, Partition]):
+        _set_field(self, "n", _universe(n))
         for name, p in bindings.items():
+            if not isinstance(p, Partition):
+                raise ValueError(f"binding {name!r} is {p!r}, not a partition")
             if p.n != n:
                 raise ValueError(f"binding {name!r} has universe size {p.n}, expected {n}")
-        _set_field(self, "n", n)
         _set_field(self, "bindings", bindings)
 
 
@@ -599,7 +601,8 @@ def _schedule(steps: list[tuple], k: int, pins: Mapping[int, bool], cores: Mappi
     The schedule holds each step's initial value as a truth value (0 for
     a step some loop computes), the slot each loop binds, each loop's
     source (a slot, or ``None``), at ``runs[d]`` loop ``d``'s steps as
-    ``(slot, kind, a, b)``, and the slot of each variable, by name.  A
+    ``(slot, kind, a, b)``, the slot of each variable, by name, and the
+    number of loops over the whole level, those with source ``None``.  A
     loop over a core binds the ``v -> r`` step itself, from the source
     ``r``: as ``x`` runs over the core of ``r``, ``x -> r`` runs over
     the same set.  So that step leaves ``runs``, and the slot of ``v``
@@ -634,7 +637,7 @@ def _schedule(steps: list[tuple], k: int, pins: Mapping[int, bool], cores: Mappi
                 runs[depth].append((slot, kind, a, b))
         depths.append(depth)
         initial.append(value)
-    return initial, var_slots, [cores.get(v) for v in order], runs, named
+    return initial, var_slots, [cores.get(v) for v in order], runs, named, len(order) - len(cores)
 
 
 def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
@@ -672,7 +675,7 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
     relabelling too.  Each ``r`` is exact when its loop starts: it is
     computed in an earlier loop, or folded.
     """
-    initial, var_slots, sources, runs, named = schedule
+    initial, var_slots, sources, runs, named, whole = schedule
     size, loops, memo, cores = level.size, len(var_slots), level.memo, level.cores
     top = size - 1
     slots = [top * bit for bit in initial]
@@ -706,7 +709,7 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
         return False
 
     # With every variable pinned the root is folded.
-    found = descend(0, level.swaps if None in sources[1:] else []) if loops else slots[-1] != top
+    found = descend(0, level.swaps if whole > 1 else []) if loops else slots[-1] != top
     del descend  # it reaches itself through its closure: break the cycle, so a dropped level is freed at once
     return tuple(map(slots.__getitem__, named)) if found else None
 
@@ -754,6 +757,31 @@ def _truth_table(steps: list[tuple], k: int) -> tuple[int, ...] | None:
     return None
 
 
+def _plan(steps: list[tuple], k: int, max_n: int, budget: int) -> tuple:
+    """How the levels from n=3 run: ``(deciding, lows, path)``.
+
+    ``deciding`` is the schedule that decides each level, with the pins
+    and cores of ``_analyse``.  ``lows`` holds the pins at the indiscrete
+    partition that the name-order rerun keeps on the level of a hit, or
+    is ``None`` when the deciding scan already returns the lex-least hit:
+    it has no core and no pin at the discrete partition.  ``path`` is
+    ``"stop"`` for a formula with no loop, which builds no schedule;
+    ``"top"`` to scan ``max_n`` first, for a formula with no ``0`` step
+    and at most one loop over the whole level whose every level up to
+    ``max_n`` fits the budget, walked here only for such a formula; and
+    ``"levels"`` to scan level by level.  See
+    :func:`find_partition_counterexample` for why each is exact.
+    """
+    pins, cores = _analyse(steps)
+    if len(pins) == k:
+        return None, None, "stop"
+    deciding = _schedule(steps, k, pins, cores)
+    lows = {v: pin for v, pin in pins.items() if not pin} if cores or any(pins.values()) else None
+    top = (3 < max_n and deciding[-1] < 2 and (Const0, None, None) not in steps
+           and all(_level(n).size ** k <= budget for n in range(3, max_n + 1)))
+    return deciding, lows, "top" if top else "levels"
+
+
 def find_partition_counterexample(
     f: Formula,
     max_n: int = DEFAULT_MAX_SIZE,
@@ -770,26 +798,33 @@ def find_partition_counterexample(
     The formula is compiled once.  At n=2 the indiscrete partition
     precedes the discrete one as False precedes True, so that level is
     the truth table, evaluated bit-parallel by ``_truth_table``: every
-    step once per chunk of up to ``2**_CHUNK_BITS`` rows.  A closed
-    formula stops there: the two constants form the same two-element
-    Boolean algebra at every larger size.
+    step once per chunk of up to ``2**_CHUNK_BITS`` rows.  When it has no
+    hit and ``max_n > 2``, ``_plan`` makes, once, every decision about
+    the levels from n=3, and the loop over them only reads it.  A formula
+    decided at n=2 builds no plan.
 
-    Levels n>=3 run ``_scan``, first on the deciding schedule that
-    ``_analyse`` and ``_schedule`` build, once, on the first of them.
-    It pins each pure variable: one that occurs only positively at the
-    indiscrete partition and one that occurs only negatively at the
-    discrete one, and folds every step on constants and pins alone.
-    It binds each other reducible variable, such as each ``v`` of a
+    Levels n>=3 run ``_scan``, first on the plan's deciding schedule,
+    which ``_analyse`` and ``_schedule`` build.  It pins each pure
+    variable: one that occurs only positively at the indiscrete
+    partition and one that occurs only negatively at the discrete one,
+    and folds every step on constants and pins alone.  It binds each
+    other reducible variable, such as each ``v`` of a
     relativized ``v -> z`` whose implication is shared under both signs,
     through ``v -> r`` itself, over the Boolean core of the value of
     ``r`` (2**b members for b non-singleton blocks, against Bell(n)
     partitions).  That scan decides whether the level has a
     counterexample.  Only on the level where it finds one, and only when
     it pinned a variable at the discrete partition or took one over a
-    core, is the name-order schedule built: it keeps the pins at the
-    indiscrete partition, since lowering such a variable keeps a
-    counterexample and is lex-no-greater, and its scan returns the
-    lex-least counterexample.  A tautology never pays for it.
+    core, is the name-order schedule built from the plan's low pins: it
+    keeps the pins at the indiscrete partition, since lowering such a
+    variable keeps a counterexample and is lex-no-greater, and its scan
+    returns the lex-least counterexample.  A tautology never pays for it.
+
+    A formula with no loop, closed or with every variable pinned, stops
+    at n=2.  Its pinned values are the indiscrete and discrete
+    partitions, so every step on them lies in the two-element subalgebra,
+    the same Boolean algebra at every n>=2, and the truth table, which
+    has a row for the pins, has decided it.
 
     A formula with no ``0`` step, so no ``~`` either, and at most one
     loop over the whole level in its deciding schedule is decided at
@@ -834,27 +869,20 @@ def find_partition_counterexample(
     k = len(names)
     if max_n > 2 and _level.cache_info().currsize > max_n - 1:
         _level.cache_clear()
-    deciding = None
-    for n in range(2, (max_n if names else 2) + 1):
+    for n in range(2, max_n + 1):
         level = _level(n)
         count = level.size ** k
         if count > budget:
-            raise SearchBudgetExceeded(
-                f"level n={n} needs {count} assignments, past the budget {budget}"
-            )
+            raise SearchBudgetExceeded(f"level n={n} needs {count} assignments, past the budget {budget}")
         if n == 2:
             hit = _truth_table(steps, k)
-        else:
-            if deciding is None:
-                pins, cores = _analyse(steps)
-                deciding = _schedule(steps, k, pins, cores)
-                if (n < max_n and k - len(pins) - len(cores) < 2 and (Const0, None, None) not in steps
-                        and all(_level(m).size ** k <= budget for m in range(n + 1, max_n + 1))
-                        and _scan(_level(max_n), deciding) is None):
+            if hit is None and max_n > 2:
+                deciding, lows, path = _plan(steps, k, max_n, budget)
+                if path == "stop" or path == "top" and _scan(_level(max_n), deciding) is None:
                     return None
+        else:
             hit = _scan(level, deciding)
-            if hit is not None and (cores or any(pins.values())):
-                lows = {v: pin for v, pin in pins.items() if not pin}
+            if hit is not None and lows is not None:
                 hit = _scan(level, _schedule(steps, k, lows, {}))
         if hit is not None:
             return Assignment(n, {name: level.partition(i) for name, i in zip(names, hit)})

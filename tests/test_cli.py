@@ -111,6 +111,13 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == f"error: level n=3 needs {5**20} assignments, past the budget {10**8}\n"
 
+    def test_wide_formula_with_no_loop_stops_at_n2(self, capsys):
+        # every variable is pinned at 0, so the truth table decides every level
+        wide = "(" + " & ".join(f"v{i}" for i in range(1, 21)) + ") -> 1"
+        code, out, err = run(capsys, "check", wide)
+        assert (code, err) == (0, "")
+        assert out.endswith("\npartition: no counterexample up to n=4\n")
+
     def test_bad_flags_exit_two(self, capsys):
         code, _, err = run(capsys, "check", "s", "--max-size", "1")
         assert (code, err) == (2, "error: --max-size must be at least 2\n")
@@ -543,6 +550,7 @@ class TestOneWriter:
             (["check", "s -> s", "--format", "json"], 0),
             (["enumerate", "9"], 0),
             (["suite", "figure3", "--format", "json"], 0),
+            (["--help"], 0),
         ]
     ])
     def test_closed_stdout_keeps_the_verdict(self, argv, code):
@@ -552,17 +560,32 @@ class TestOneWriter:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (code, "")
 
-    # /dev/full fails every write with ENOSPC.
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("stream, argv", [
+    # /dev/full fails every write with ENOSPC.  The last two are argparse's
+    # help and usage text, which argparse itself would write and let fail.
+    FAILED_WRITES = [
         ("stdout", ["check", "s -> s"]),
         ("stdout", ["check", "s"]),
         ("stderr", ["check", "("]),
         ("stderr", ["check", "s", "--max-size", "1"]),
-    ])
+        ("stdout", ["--help"]),
+        ("stderr", ["check"]),
+    ]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("stream, argv", FAILED_WRITES)
     def test_failed_write_exits_two(self, stream, argv):
         # Buffered streams, as by default: the flush at exit writes what a failed write left behind.
-        env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+        self._write_to_full(stream, argv, {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"})
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("stream, argv", FAILED_WRITES)
+    def test_failed_unbuffered_write_exits_two(self, stream, argv):
+        # Unbuffered streams: the write itself fails, with nothing left for the exit.
+        self._write_to_full(stream, argv, {**fresh_env(), "PYTHONUNBUFFERED": "1"})
+
+    @staticmethod
+    def _write_to_full(stream, argv, env):
+        """Run the CLI with ``stream`` on /dev/full: exit 2, and one error line on stderr when stdout failed."""
         with open("/dev/full", "w") as full:
             streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: full}
             proc = subprocess.run([sys.executable, "-m", "partlogic.cli", *argv], text=True, env=env,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -412,6 +413,14 @@ class TestEvaluation:
     def test_assignment_universe_validation(self):
         with pytest.raises(ValueError, match="universe size"):
             Assignment(3, {"s": Partition.discrete(2)})
+        # the size is checked as a partition's is, and each binding is a partition
+        for n, message in [(-1, "at least one element"), (0, "at least one element"),
+                           (2.0, "universe size 2.0 is not an integer"), (True, "universe size True is not an integer")]:
+            with pytest.raises(ValueError, match=message):
+                Assignment(n, {})
+        for value in [5, "{{a,b}}", Partition.discrete(2).rgs, None]:
+            with pytest.raises(ValueError, match=f"^binding 's' is {re.escape(repr(value))}, not a partition$"):
+                Assignment(2, {"s": value})
 
     @settings(deadline=None)
     @given(st.one_of(formulas, repeated_formulas), st.integers(1, 4), st.data())
@@ -777,7 +786,7 @@ class TestRefuter:
         """Each pinned variable and its pin, by name, then each variable the deciding scan takes over a core."""
         names, steps = formula._compile(f)
         pins, cores = formula._analyse(steps)
-        _, var_slots, sources, _, _ = formula._schedule(steps, len(names), pins, cores)
+        _, var_slots, sources, _, _, _ = formula._schedule(steps, len(names), pins, cores)
         # a loop over a core binds the implication whose left operand is the variable
         scanned = [names[steps[steps[slot][1]][1]] for slot, source in zip(var_slots, sources) if source is not None]
         return [(names[v], int(pins[v])) for v in sorted(pins)] + [(name, "core") for name in scanned]
@@ -870,6 +879,8 @@ class TestRefuter:
         ("(z -> s) \\/ (p -> z) \\/ (s -> z)", 6, [3, 4, 4]),
         # a top level over the budget: every level in order, refuted below it
         ("q \\/ (q -> p)", 10, [3]),
+        # no loop, every variable pinned: the truth table decides every level
+        ("(s -> 0) -> 1 \\/ p", 5, []),
     ])
     def test_levels_scanned(self, monkeypatch, text, max_n, levels):
         seen = self._record_scans(monkeypatch)
@@ -901,6 +912,24 @@ class TestRefuter:
         with pytest.raises(SearchBudgetExceeded, match=message):
             find_partition_counterexample(f, max_n=10**6)
         assert formula._level.cache_info().currsize == 8
+        # max_n=9 is the first level over the budget itself: no top scan, and
+        # the same levels in order before the error
+        seen.clear()
+        with pytest.raises(SearchBudgetExceeded, match=message):
+            find_partition_counterexample(f, max_n=9)
+        assert formula._level.cache_info().currsize == 8
+        assert seen == [3, 4, 5, 6, 7, 8]
+
+    def test_a_formula_with_no_loop_builds_no_level_past_n2(self, monkeypatch, cold_levels):
+        # Its pins are the indiscrete and discrete partitions, whose two-element
+        # subalgebra is the same at every n: the truth table decides it, at
+        # any max_n, and a level past n=2 would only count toward the budget.
+        seen = self._record_scans(monkeypatch)
+        wide = parse(" /\\ ".join(f"v{i}" for i in range(1, 21)) + " -> 1")
+        for f in [wide, parse("p -> (q -> 1)"), parse("~~(s \\/ 1) \\/ ~p"), parse("1")]:
+            assert find_partition_counterexample(f, max_n=40) is None
+        assert seen == []
+        assert formula._level.cache_info().currsize == 1  # n=2
 
     def test_budget_guard(self):
         f = parse("s \\/ ~s \\/ p \\/ q")
@@ -986,10 +1015,11 @@ class TestTruthTable:
         assert 100 < refuted < 300
 
     def test_no_scan_and_no_schedule_at_n2(self, monkeypatch):
-        seen, scheduled = [], []
-        scan, schedule = formula._scan, formula._schedule
+        seen, scheduled, analysed = [], [], []
+        scan, schedule, analyse = formula._scan, formula._schedule, formula._analyse
         monkeypatch.setattr(formula, "_scan", lambda level, *args: seen.append(level.n) or scan(level, *args))
         monkeypatch.setattr(formula, "_schedule", lambda *args: scheduled.append(args) or schedule(*args))
+        monkeypatch.setattr(formula, "_analyse", lambda steps: analysed.append(steps) or analyse(steps))
         corpus = [parse(text) for _, text in CLASSICAL_TAUTOLOGIES + NON_TAUTOLOGIES]
         corpus += [pi_negation_transform(f, "z") for f in corpus] + [parse("0"), parse("1")]
         # q's core loop reads the folded top of 0 -> 0: a stale 0 would give a hit
@@ -997,7 +1027,11 @@ class TestTruthTable:
         outcomes = Counter()
         for f in corpus:
             scheduled.clear()
+            analysed.clear()
             cex = find_partition_counterexample(f, max_n=4)
+            # The plan is built once, after a truth table with no hit, and the
+            # levels from n=3 only read it.
+            assert len(analysed) == (cex is None or cex.n > 2)
             # None for a formula decided at n=2.  One that reaches n=3 builds
             # the deciding schedule once, however many levels it scans from
             # there, and a tautology builds nothing more.  On the level of a
@@ -1011,8 +1045,9 @@ class TestTruthTable:
             outcomes["none" if cex is None else cex.n, rerun] += 1
         assert all(outcomes[key] for key in [("none", False), (2, False), (3, False), (3, True), (4, True)])
         assert seen and 2 not in seen
-        # a formula decided at n=2 builds no schedule
+        # a formula decided at n=2, or checked at max_n=2, builds no plan
         monkeypatch.setattr(formula, "_schedule", None)
+        monkeypatch.setattr(formula, "_analyse", None)
         assert find_partition_counterexample(parse("s /\\ ~s"), max_n=4).n == 2
         assert is_subset_tautology(parse("s \\/ ~s"))
 
