@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .algebra import boolean_core, core_to_subset
 from .core import Partition, enumerate_partitions, refines
@@ -198,13 +199,16 @@ def cmd_core(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_suite(args: argparse.Namespace) -> tuple[int, str]:
+    start = time.perf_counter()
     checks = SUITES[args.name]()
+    elapsed = time.perf_counter() - start
     failed = [c for c in checks if not c.passed]
     code = 0 if not failed else 1
     if args.format == "json":
         return code, json.dumps({
             "suite": args.name,
             "passed": not failed,
+            "elapsed": elapsed,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
         })
     lines = []

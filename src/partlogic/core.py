@@ -126,6 +126,30 @@ def _component_labels(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
     return parent
 
 
+def _pairs(n: int, bits: int) -> Iterator[tuple[int, int]]:
+    """The pairs of relation bits in row-major order: the one walk over a relation's pairs.
+
+    Each step clears the lowest bit of one row, not of the whole grid, so
+    a dense relation costs time linear in its pairs.  It yields them, so a
+    closure holds one pair at a time.
+    """
+    full = (1 << n) - 1
+    u = 0
+    while bits:
+        row = bits & full
+        bits >>= n
+        while row:
+            low = row & -row
+            yield u, low.bit_length() - 1
+            row ^= low
+        u += 1
+
+
+def _closure_bits(n: int, bits: int) -> int:
+    """Bits of the smallest equivalence relation containing ``bits``: the components of its pairs."""
+    return _equivalence_bits(_component_labels(n, _pairs(n, bits)))
+
+
 class BinaryRelation(_Value):
     """A set of ordered pairs over ``{0..n-1} x {0..n-1}``.
 
@@ -168,11 +192,7 @@ class BinaryRelation(_Value):
         return cls._trusted(_universe(n), _diagonal_bits(n))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for u, row in enumerate(self._rows()):
-            while row:
-                low = row & -row
-                yield u, low.bit_length() - 1
-                row ^= low
+        return _pairs(self.n, self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -221,11 +241,8 @@ class BinaryRelation(_Value):
         return all(rows[v] & ~rows[u] == 0 for u, v in self)
 
     def closure(self) -> "BinaryRelation":
-        """Smallest equivalence relation containing this one.
-
-        The classes are the connected components of the listed pairs.
-        """
-        return BinaryRelation._trusted(self.n, _equivalence_bits(_component_labels(self.n, self)))
+        """Smallest equivalence relation containing this one."""
+        return BinaryRelation._trusted(self.n, _closure_bits(self.n, self.bits))
 
     def interior(self) -> "BinaryRelation":
         """Largest ditset contained in this relation.
@@ -233,7 +250,8 @@ class BinaryRelation(_Value):
         Computed as the complement of the closure of the complement,
         mirroring the topological interior.
         """
-        return self.complement().closure().complement()
+        full = (1 << self.n * self.n) - 1
+        return BinaryRelation._trusted(self.n, full ^ _closure_bits(self.n, full ^ self.bits))
 
 
 @total_ordering

@@ -652,7 +652,8 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
     by ``_Level.fill`` and read after that from the level's table for
     that connective, ``memo[kind][i * size + j]``, in this scan and in
     every later one at the same size.  It runs on levels from n=3; n=2 is
-    ``_truth_table``.
+    ``_truth_table``.  The schedule has a loop: ``_plan`` stops a
+    formula with none at n=2.
 
     ``sources[d]`` says where loop ``d`` takes its values.  ``None``
     prunes them by relabelling: a permutation ``g`` maps
@@ -708,8 +709,7 @@ def _scan(level: _Level, schedule: tuple) -> tuple[int, ...] | None:
                 return True
         return False
 
-    # With every variable pinned the root is folded.
-    found = descend(0, level.swaps if whole > 1 else []) if loops else slots[-1] != top
+    found = descend(0, level.swaps if whole > 1 else [])
     del descend  # it reaches itself through its closure: break the cycle, so a dropped level is freed at once
     return tuple(map(slots.__getitem__, named)) if found else None
 

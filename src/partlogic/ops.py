@@ -197,15 +197,14 @@ def retained_links(op: BoolOp2, p: Partition, q: Partition) -> BinaryRelation:
     """
     _require_same_universe(p, q)
     n = p.n
-    off = ((1 << n * n) - 1) ^ _diagonal_bits(n)
     dp = p.ditset.bits
     dq = q.ditset.bits
     bits = 0
-    for left in (False, True):
-        for right in (False, True):
-            if not op(left, right):
-                bits |= (dp if left else ~dp) & (dq if right else ~dq) & off
-    return BinaryRelation._trusted(n, bits)
+    # The pairs at each entry of ``op.table``, indexed by ``2*left + right``.
+    for value, mask in zip(op.table, (~dp & ~dq, ~dp & dq, dp & ~dq, dp & dq)):
+        if not value:
+            bits |= mask
+    return BinaryRelation._trusted(n, bits & ((1 << n * n) - 1) & ~_diagonal_bits(n))
 
 
 def binary_op_graph(op: BoolOp2, p: Partition, q: Partition) -> Partition:
@@ -230,10 +229,11 @@ def implication_interior(sigma: Partition, pi: Partition) -> Partition:
 
     Form ``dit(sigma)^c | dit(pi)``, which need not be a ditset, and
     take its interior; the partition is read back off the complementary
-    equivalence relation.
+    equivalence relation.  ``dit(sigma)^c`` is read as ``indit(sigma)``,
+    the same relation, kept on ``sigma``.
     """
     _require_same_universe(sigma, pi)
-    target = (sigma.ditset.complement() | pi.ditset).interior()
+    target = (sigma.inditset | pi.ditset).interior()
     return Partition.from_equivalence(target.complement())
 
 

@@ -198,13 +198,13 @@ def suite_common_dits() -> list[CheckResult]:
             f"disjoint ditsets: {p}, {q}"
             for p in nontrivial
             for q in nontrivial
-            if len(p.ditset & q.ditset) == 0
+            if not p.ditset.bits & q.ditset.bits
         )))
     results.append(_check("two-block partitions pairwise overlap, n<=6", _first(
         f"disjoint ditsets: {p}, {q}"
         for n in range(2, 7)
         for p, q in combinations([p for p in enumerate_partitions(n) if p.num_blocks == 2], 2)
-        if len(p.ditset & q.ditset) == 0
+        if not p.ditset.bits & q.ditset.bits
     )))
     return results
 

@@ -3,6 +3,7 @@ import ast
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -349,6 +350,21 @@ class TestSuite:
         data = json.loads(out)
         assert data["suite"] == "figure3" and data["passed"] is True
         assert all(c["passed"] for c in data["checks"])
+
+    def test_json_carries_the_seconds_the_checks_took(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "suite", "figure3", "--format", "json")
+        elapsed = json.loads(out)["elapsed"]
+        assert code == 0 and type(elapsed) is float and elapsed >= 0
+        # the span read around the suite's checks, by perf_counter
+        monkeypatch.setattr(partlogic.cli.time, "perf_counter", functools.partial(next, itertools.count(10.0, 0.25)))
+        code, out, _ = run(capsys, "suite", "figure3", "--format", "json")
+        assert json.loads(out)["elapsed"] == 0.25
+
+    def test_text_output_carries_no_timing(self, capsys):
+        checks = suite_checks("figure3")
+        code, out, _ = run(capsys, "suite", "figure3")
+        assert code == 0
+        assert out == "".join(f"ok   {c.name}\n" for c in checks) + f"suite figure3: {len(checks)}/{len(checks)} checks passed\n"
 
     def test_failed_check_exits_one_with_its_detail(self, capsys, monkeypatch):
         failing = (CheckResult("holds", True), CheckResult("breaks", False, "n=3: {{0},{1,2}}"))

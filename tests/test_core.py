@@ -4,7 +4,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from partlogic import (
     BinaryRelation,
@@ -284,15 +284,24 @@ class TestClosureInterior:
         }
 
     def test_closure_is_least_containing_equivalence(self):
-        n = 3
-        for mask in range(1 << (n * n)):
-            r = BinaryRelation(n, mask)
-            assert frozenset(r.closure()) == oracle_closure(frozenset(r), n)
+        # Every relation up to n=3: the walk lists its pairs row by row, and
+        # closure and interior match their oracles.
+        for n in (1, 2, 3):
+            cells = list(itertools.product(range(n), repeat=2))
+            for mask in range(1 << (n * n)):
+                r = BinaryRelation(n, mask)
+                pairs = [c for i, c in enumerate(cells) if mask >> i & 1]
+                assert list(r) == pairs and len(pairs) == len(r)
+                assert frozenset(r.closure()) == oracle_closure(frozenset(pairs), n)
+                assert frozenset(r.interior()) == oracle_interior(frozenset(pairs), n)
 
-    @given(relations(min_n=4, max_n=9))
+    @settings(deadline=None)
+    @given(relations(min_n=4, max_n=20))
     def test_closure_and_interior_match_the_fixpoint(self, case):
+        # Up to n=20 the grid runs past 64 bits, sparse or dense.
         n, pairs = case
         r = relation_from_pairs(pairs, n)
+        assert list(r) == sorted(pairs) and len(pairs) == len(r)
         assert frozenset(r.closure()) == oracle_fixpoint_closure(pairs, n)
         assert frozenset(r.interior()) == oracle_interior(pairs, n)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from partlogic import (
     IMPLIES,
     AdjunctiveLimitError,
+    BinaryRelation,
     BoolOp2,
     Partition,
     all_binary_ops,
@@ -169,6 +170,19 @@ class TestImplication:
         assert implication_blocks(sigma, pi) == implication_graph(sigma, pi) == implication_interior(sigma, pi)
         assert negation(sigma) == implication_graph(sigma, Partition.indiscrete(n))
         assert double_pi_negation(sigma, pi) == implication_blocks(implication_blocks(sigma, pi), pi)
+
+    def test_interior_oracle_keeps_its_definition(self, monkeypatch):
+        # One interior of dit(sigma)^c | dit(pi), read back by from_equivalence:
+        # a faster path must not fold this oracle into the graph one.
+        calls = []
+        interior, from_equivalence = BinaryRelation.interior, Partition.from_equivalence
+        monkeypatch.setattr(BinaryRelation, "interior", lambda r: calls.append("interior") or interior(r))
+        monkeypatch.setattr(Partition, "from_equivalence",
+                            classmethod(lambda cls, r: calls.append("from_equivalence") or from_equivalence(r)))
+        sigma = Partition.from_blocks([[0], [1, 2, 3]], 4)
+        pi = Partition.from_blocks([[0, 1], [2, 3]], 4)
+        assert implication_interior(sigma, pi) == Partition.from_blocks([[0, 1], [2], [3]], 4)
+        assert calls == ["interior", "from_equivalence"]
 
 
 class TestKernels:
