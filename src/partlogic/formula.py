@@ -548,8 +548,8 @@ _POSITIVE, _NEGATIVE, _MIXED = 1, 2, 3
 _FLIPPED = (0, _NEGATIVE, _POSITIVE, _MIXED)
 
 
-def _analyse(steps: list[tuple]) -> tuple[dict[int, bool], dict[int, int]]:
-    """The pins of the pure variables, and the sources of the other reducible ones.
+def _analyse(steps: list[tuple]) -> tuple[dict[int, bool], dict[int, int], int]:
+    """The pins of the pure variables, the sources of the other reducible ones, and the base candidates.
 
     One reverse pass gives each step its uses and its sign: the root is
     positive, ``/\\`` and ``\\/`` pass a step's sign to both operands,
@@ -568,22 +568,47 @@ def _analyse(steps: list[tuple]) -> tuple[dict[int, bool], dict[int, int]]:
     through ``v -> r``; ``cores`` maps it to the slot of ``r``, in step
     order.  ``r`` cannot depend on ``v``: that would take a second use,
     by a step under ``r`` or, when ``r`` is ``v``, by the same step.
+
+    The same pass counts the *base candidates*: the ``0`` step if it
+    occurs, and each variable step with a use other than as the left
+    operand of an ``Implies`` step, the root counting as a use.  With at
+    most one, the formula is in the Boolean-core fragment of
+    ``_in_core_fragment``.
     """
     uses = [0] * len(steps)
     signs = [0] * len(steps)
     signs[-1] = _POSITIVE
+    # Whether a step has a use other than as the left operand of ``->``.
+    anchored = [False] * len(steps)
+    anchored[-1] = True
+    bases = 0
     for slot in reversed(range(len(steps))):
         kind, a, b = steps[slot]
         if b is not None:  # a connective; variable and constant steps have no right operand
             sign = signs[slot]
             uses[a] += 1
             uses[b] += 1
-            signs[a] |= _FLIPPED[sign] if kind is Implies else sign
+            if kind is Implies:
+                signs[a] |= _FLIPPED[sign]
+            else:
+                signs[a] |= sign
+                anchored[a] = True
             signs[b] |= sign
+            anchored[b] = True
+        elif kind is Const0 or kind is Var and anchored[slot]:  # every use of a step comes after it
+            bases += 1
     pins = {a: sign == _NEGATIVE for (kind, a, _), sign in zip(steps, signs) if kind is Var and sign != _MIXED}
     cores = {steps[a][1]: b for kind, a, b in steps
              if kind is Implies and uses[a] == 1 and steps[a][0] is Var and steps[a][1] not in pins}
-    return pins, cores
+    return pins, cores, bases
+
+
+def _in_core_fragment(bases: int) -> bool:
+    """Whether a formula with ``bases`` base candidates (``_analyse``) is decided at n=2.
+
+    See :func:`find_partition_counterexample` for the proof.
+    """
+    return bases <= 1
 
 
 def _schedule(steps: list[tuple], k: int, pins: Mapping[int, bool], cores: Mapping[int, int]) -> tuple:
@@ -765,15 +790,16 @@ def _plan(steps: list[tuple], k: int, max_n: int, budget: int) -> tuple:
     partition that the name-order rerun keeps on the level of a hit, or
     is ``None`` when the deciding scan already returns the lex-least hit:
     it has no core and no pin at the discrete partition.  ``path`` is
-    ``"stop"`` for a formula with no loop, which builds no schedule;
-    ``"top"`` to scan ``max_n`` first, for a formula with no ``0`` step
-    and at most one loop over the whole level whose every level up to
-    ``max_n`` fits the budget, walked here only for such a formula; and
-    ``"levels"`` to scan level by level.  See
-    :func:`find_partition_counterexample` for why each is exact.
+    ``"stop"`` for a formula with no loop or in the Boolean-core
+    fragment, which builds no schedule; ``"top"`` to scan ``max_n``
+    first, for a formula with no ``0`` step and at most one loop over
+    the whole level whose every level up to ``max_n`` fits the budget,
+    walked here only for such a formula; and ``"levels"`` to scan level
+    by level.  See :func:`find_partition_counterexample` for why each is
+    exact.
     """
-    pins, cores = _analyse(steps)
-    if len(pins) == k:
+    pins, cores, bases = _analyse(steps)
+    if len(pins) == k or _in_core_fragment(bases):
         return None, None, "stop"
     deciding = _schedule(steps, k, pins, cores)
     lows = {v: pin for v, pin in pins.items() if not pin} if cores or any(pins.values()) else None
@@ -793,7 +819,8 @@ def find_partition_counterexample(
     universe size, then by each variable's partition in enumeration
     order with variables sorted by name; the result is identical across
     runs.  ``None`` means no counterexample up to ``max_n``, which is a
-    bounded verdict, not a validity proof.
+    bounded verdict, not a validity proof, outside the Boolean-core
+    fragment below.
 
     The formula is compiled once.  At n=2 the indiscrete partition
     precedes the discrete one as False precedes True, so that level is
@@ -825,6 +852,32 @@ def find_partition_counterexample(
     partitions, so every step on them lies in the two-element subalgebra,
     the same Boolean algebra at every n>=2, and the truth table, which
     has a row for the pins, has decided it.
+
+    So does a formula in the Boolean-core fragment, such as every output
+    of :func:`pi_negation_transform`: one with at most one base
+    candidate (``_analyse``), the ``0`` step or a variable used other
+    than as the left operand of ``->``, the root counting as a use.  Its
+    ``None`` is exact at every n, not only up to ``max_n``.  Let ``b``
+    be the value of the base: the base variable's, or the indiscrete
+    partition for ``0`` or when there is no candidate.  The core of
+    ``b`` holds the partitions made by dissolving a set of its
+    non-singleton blocks.  It is closed under join, meet and the block
+    rule, and with a dissolved block read as True they are ``or``,
+    ``and`` and Boolean implication on ``2**m``, blockwise, for ``m``
+    non-singleton blocks: ``x -> c`` dissolves the blocks of ``c`` that
+    lie in a block of ``x``, which for ``x`` in the core are the blocks
+    ``x`` keeps.  Every other variable ``v`` is used only as the left
+    operand of some ``v -> c``, and ``v -> c`` equals ``v** -> c`` for the
+    core member ``v** = (v -> b) -> b``, which keeps exactly the blocks of
+    ``b`` inside a block of ``v``; as ``v`` varies, ``v**`` takes every
+    member.  So by induction over the steps every step but such a ``v``
+    is a core member (the base, ``0`` or a variable, is ``b``, and ``1``
+    the discrete partition), and the root is one Boolean term,
+    evaluated on each block on its own with the base False and each
+    ``v`` free.  It is the discrete partition exactly when the term holds
+    on every block.  The truth table's rows with the base at the
+    indiscrete partition are the case ``m=1``, so with no hit there, no
+    n has one.
 
     A formula with no ``0`` step, so no ``~`` either, and at most one
     loop over the whole level in its deciding schedule is decided at

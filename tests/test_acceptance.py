@@ -67,6 +67,7 @@ def test_criterion_08_transform_theorem():
         "tautologies",
         "the corpus holds",
         "transform of ",
+        "the corpus transforms",
         suffix=" is no classical tautology and fails at n=2",
     )
 

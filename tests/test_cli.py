@@ -141,9 +141,18 @@ class TestCheck:
     def test_levels_past_the_budget_exit_two(self, capsys):
         # The levels up to --max-size are built in order and stop at the first
         # over the budget, so a million of them cost nothing.
-        code, out, err = run(capsys, "check", "s -> (p -> s)", "--max-size", "1000000")
+        code, out, err = run(capsys, "check", "(s /\\ p) -> s", "--max-size", "1000000")
         assert (code, out) == (2, "")
         assert err == "error: level n=9 needs 447195609 assignments, past the budget 100000000\n"
+
+    def test_a_boolean_core_formula_stops_at_n2(self, capsys):
+        # Weakening has one base candidate, s: the truth table decides it at
+        # every n, so no level past n=2 counts toward the budget.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "s -> (p -> s)", "--max-size", "1000000")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out.endswith("\npartition: no counterexample up to n=1000000\n")
 
     def test_closed_formula_at_a_large_max_size(self, capsys):
         start = time.perf_counter()

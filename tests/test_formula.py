@@ -158,6 +158,16 @@ def scan_or_fold(level, schedule):
     return None if initial[-1] else tuple((level.size - 1) * initial[slot] for slot in named)
 
 
+def in_core_fragment(f: Formula) -> bool:
+    """Whether the refuter decides ``f`` at n=2, as a member of the Boolean-core fragment."""
+    return formula._in_core_fragment(formula._analyse(formula._compile(f)[1])[2])
+
+
+def core_fragment_off(monkeypatch):
+    """Turn the Boolean-core fragment's n=2 decision off, so its formulas scan like any other."""
+    monkeypatch.setattr(formula, "_in_core_fragment", lambda bases: False)
+
+
 ATOMS = [Const0(), Const1(), Var("s"), Var("p"), Var("q")]
 Z = Var("z")
 # Classical tautologies that fail over partitions, first at n=3, 4 and 4,
@@ -634,16 +644,35 @@ class TestRefuter:
             monkeypatch.setitem(formula._KERNELS, kind, counting(formula._KERNELS[kind]))
         return calls
 
+    @staticmethod
+    def _decided_at_two(monkeypatch, f: Formula, max_n: int = formula.DEFAULT_MAX_SIZE) -> Assignment | None:
+        """The verdict on ``f`` from cold levels, which scans nothing and builds no level past n=2.
+
+        The Boolean-core fragment's decision is then turned off and the
+        levels dropped, so that the test's own calls scan ``f``.
+        """
+        formula._level.cache_clear()
+        with monkeypatch.context() as patch:
+            seen = TestRefuter._record_scans(patch)
+            verdict = find_partition_counterexample(f, max_n=max_n)
+        assert seen == [] and formula._level.cache_info().currsize == 1
+        core_fragment_off(monkeypatch)
+        formula._level.cache_clear()
+        return verdict
+
     def test_one_variable_visits_the_block_shapes(self, monkeypatch, cold_levels):
         # one value per integer partition of n, at n=10 alone: a formula
-        # without 0 is decided at its top level
+        # without 0 is decided at its top level, once the n=2 decision is off
+        f = parse("s -> s")
+        assert self._decided_at_two(monkeypatch, f, 10) is None
         calls = self._count_connectives(monkeypatch)
-        assert find_partition_counterexample(parse("s -> s"), max_n=10) is None
+        assert find_partition_counterexample(f, max_n=10) is None
         assert 0 < calls[0] <= 42
 
     def test_long_chain_reads_the_memo(self, monkeypatch, cold_levels):
-        calls = self._count_connectives(monkeypatch)
         chain = parse(" -> ".join(["s"] * 10**4))
+        assert self._decided_at_two(monkeypatch, chain) is None
+        calls = self._count_connectives(monkeypatch)
         assert find_partition_counterexample(chain) is None
         assert 0 < calls[0] <= 100
 
@@ -656,8 +685,9 @@ class TestRefuter:
 
     def test_a_warm_level_computes_nothing_twice(self, monkeypatch, cold_levels):
         # 0 -> 0 depends on no variable; it is folded before any loop.
-        calls = self._count_connectives(monkeypatch)
         syllogism = pi_negation_transform(parse("(s -> p) -> ((p -> q) -> (s -> q))"), "z")
+        assert self._decided_at_two(monkeypatch, syllogism) is None
+        calls = self._count_connectives(monkeypatch)
         for f in (syllogism, parse("(0 -> 0) -> (s -> s)")):
             assert find_partition_counterexample(f, max_n=4) is None
             assert calls[0] > 0
@@ -794,7 +824,7 @@ class TestRefuter:
     def _reductions(f: Formula) -> list[tuple[str, int | str]]:
         """Each pinned variable and its pin, by name, then each variable the deciding scan takes over a core."""
         names, steps = formula._compile(f)
-        pins, cores = formula._analyse(steps)
+        pins, cores, _ = formula._analyse(steps)
         _, var_slots, sources, _, _, _ = formula._schedule(steps, len(names), pins, cores)
         # a loop over a core binds the implication whose left operand is the variable
         scanned = [names[steps[steps[slot][1]][1]] for slot, source in zip(var_slots, sources) if source is not None]
@@ -843,13 +873,15 @@ class TestRefuter:
         reran = Counter(cex.n for f, cex in zip(corpus, reduced)
                         if cex and cex.n > 2 and {1, "core"} & {how for _, how in self._reductions(f)})
         assert reran == {3: 9, 4: 2}
-        # no pin and no core: every variable by name, in one scan
-        monkeypatch.setattr(formula, "_analyse", lambda steps: ({}, {}))
+        # no pin, no core and no n=2 decision: every variable by name, in one scan
+        core_fragment_off(monkeypatch)
+        monkeypatch.setattr(formula, "_analyse", lambda steps: ({}, {}, 0))
         assert [find_partition_counterexample(f, max_n=5) for f in corpus] == reduced
 
     def test_relativized_variables_range_over_the_core(self, monkeypatch, cold_levels):
-        calls = self._count_connectives(monkeypatch)
         syllogism = pi_negation_transform(parse("((s -> p) /\\ (p -> q)) -> (s -> q)"), "z")
+        assert self._decided_at_two(monkeypatch, syllogism, 5) is None
+        calls = self._count_connectives(monkeypatch)
         assert find_partition_counterexample(syllogism, max_n=5) is None
         assert 0 < calls[0] <= 37
 
@@ -861,9 +893,10 @@ class TestRefuter:
         assert 0 < calls[0] <= 18
         # q's core loop reads the folded top of 0 -> 0 and binds the implication
         # to that one member: one implication and one meet per level
+        folded = parse(f"{FOLDED} /\\ ({FOLDED} -> {FOLDED})")
+        assert self._decided_at_two(monkeypatch, folded, 5) is None
         calls[0] = 0
-        formula._level.cache_clear()
-        assert find_partition_counterexample(parse(f"{FOLDED} /\\ ({FOLDED} -> {FOLDED})"), max_n=5) is None
+        assert find_partition_counterexample(folded, max_n=5) is None
         assert 0 < calls[0] <= 6
 
     @pytest.mark.parametrize("text, max_n, levels", [
@@ -892,10 +925,17 @@ class TestRefuter:
         ("(s -> 0) -> 1 \\/ p", 5, []),
     ])
     def test_levels_scanned(self, monkeypatch, text, max_n, levels):
-        seen = self._record_scans(monkeypatch)
+        # The first three and ~s -> ~s are in the Boolean-core fragment: the
+        # levels are those they scan with its n=2 decision off.
         f = parse(text)
+        fragment = in_core_fragment(f)
+        if fragment:
+            verdict = self._decided_at_two(monkeypatch, f, max_n)
+        seen = self._record_scans(monkeypatch)
         cex = find_partition_counterexample(f, max_n=max_n)
         assert seen == levels
+        if fragment:
+            assert cex == verdict
         if max_n <= 5:
             assert cex == self._least_counterexample(f, max_n)
 
@@ -911,8 +951,11 @@ class TestRefuter:
         # The levels are built in order and checked against the budget before
         # the top one is scanned: the first over it, n=9, is the last built,
         # and the levels below it are scanned in order before the error.
+        # p is pinned and s takes the block shapes, but both are base
+        # candidates, so n=2 does not decide the formula.
         seen = self._record_scans(monkeypatch)
-        f = parse("s -> (p -> s)")
+        f = parse("(s /\\ p) -> s")
+        assert not in_core_fragment(f)
         message = "^level n=9 needs 447195609 assignments, past the budget 100000000$"
         with pytest.raises(SearchBudgetExceeded, match=message):
             find_partition_counterexample(f, max_n=40)
@@ -997,6 +1040,71 @@ class TestRefuter:
         assert checked > 1000
 
 
+class TestCoreFragment:
+    """The formulas decided at n=2 for every n: at most one base candidate.
+
+    The candidates are ``0`` and each variable used other than as the
+    left operand of ``->``, the root counting as a use.
+    """
+
+    @staticmethod
+    def _core_typed(rng: random.Random, leaves: int, base: Formula) -> Formula:
+        """A seeded random formula over ``base`` and ``1`` in which ``s``, ``p`` and ``q`` occur only as ``v -> c``."""
+        if leaves == 1:
+            return rng.choice([base, base, Const1()])
+        if rng.random() < 0.35:
+            return Implies(Var(rng.choice("spq")), TestCoreFragment._core_typed(rng, leaves - 1, base))
+        split = rng.randint(1, leaves - 1)
+        return rng.choice([And, Or, Implies])(TestCoreFragment._core_typed(rng, split, base),
+                                              TestCoreFragment._core_typed(rng, leaves - split, base))
+
+    def test_accepts_the_transforms_and_agrees_with_the_scan_up_to_six(self, monkeypatch):
+        rng = random.Random(34)
+        corpus = [pi_negation_transform(parse(text), "z") for _, text in CLASSICAL_TAUTOLOGIES + NON_TAUTOLOGIES]
+        corpus += [pi_negation_transform(grow(rng, rng.randint(2, 8), ATOMS), "z") for _ in range(40)]
+        corpus += [self._core_typed(rng, rng.randint(3, 10), base) for base in (Z, Const0()) for _ in range(100)]
+        # the relativized forms of test_levels_scanned, and q -> (0 -> 0) folded
+        corpus += [parse(text) for text in ["s -> s", "(1 -> s) -> s /\\ 1", "~s -> ~s", FOLDED,
+                                            "((s -> z) -> (p -> z)) \\/ ((p -> z) -> (s -> z))"]]
+        assert all(map(in_core_fragment, corpus))
+        decided = [find_partition_counterexample(f, max_n=6, budget=10**10) for f in corpus]
+        assert {cex.n for cex in decided if cex} == {2}
+        assert 100 < decided.count(None) < len(corpus)
+        core_fragment_off(monkeypatch)
+        assert [find_partition_counterexample(f, max_n=6, budget=10**10) for f in corpus] == decided
+
+    def test_refuses_leaky_formulas(self):
+        # A second anchored variable, or 0 under a variable base: each fails
+        # past n=2, and a recognizer that ignored 0, or right operands, would
+        # let n=2 pass it.
+        leaky = {"s \\/ ~s": 3, "(s -> z) \\/ ~z": 3, "(z -> s) \\/ (p -> z) \\/ (s -> z)": 4,
+                 "(s -> p) \\/ (p -> s)": 4, "(s -> p) \\/ (p -> s) \\/ ~q": 4}
+        for text, n in leaky.items():
+            f = parse(text)
+            assert not in_core_fragment(f)
+            assert find_partition_counterexample(f, max_n=4).n == n
+        rng = random.Random(35)
+        for _ in range(40):
+            g = self._core_typed(rng, rng.randint(2, 8), Z)
+            for leak in (Or(Z, Not(Z)), Or(Z, Var("s")), Or(Var("s"), Not(Var("s")))):
+                assert not in_core_fragment(And(g, leak))
+        assert not in_core_fragment(parse("(s /\\ p) -> s"))
+        assert not in_core_fragment(parse("0 \\/ z"))
+
+    def test_a_bare_variable_root_is_refuted_at_two(self):
+        # the root counts as a use, so s is its base, and its one row, s
+        # False, refutes it first
+        f = parse("s")
+        assert formula._analyse(formula._compile(f)[1])[2] == 1 and in_core_fragment(f)
+        assert find_partition_counterexample(f, max_n=5) == Assignment(2, {"s": Partition.indiscrete(2)})
+
+    def test_builds_no_level_past_n2(self, monkeypatch, cold_levels):
+        syllogism = pi_negation_transform(parse("((s -> p) /\\ (p -> q)) -> (s -> q)"), "z")
+        seen = TestRefuter._record_scans(monkeypatch)
+        assert find_partition_counterexample(syllogism, max_n=40) is None
+        assert seen == [] and formula._level.cache_info().currsize == 1
+
+
 class TestTruthTable:
     @pytest.mark.parametrize("chunk_bits", [0, 1, formula._CHUNK_BITS])
     def test_matches_the_n2_scan_and_the_oracle(self, monkeypatch, chunk_bits):
@@ -1015,7 +1123,7 @@ class TestTruthTable:
             if names:
                 # every variable by name, and with the variables reached only
                 # positively pinned at 0, as in the name-order rerun
-                pins, _ = formula._analyse(steps)
+                pins = formula._analyse(steps)[0]
                 lows = {v: pin for v, pin in pins.items() if not pin}
                 for held in ({}, lows):
                     assert hit == scan_or_fold(formula._level(2), formula._schedule(steps, len(names), held, {}))
@@ -1043,10 +1151,11 @@ class TestTruthTable:
             assert len(analysed) == (cex is None or cex.n > 2)
             # None for a formula decided at n=2.  One that reaches n=3 builds
             # the deciding schedule once, however many levels it scans from
-            # there, and a tautology builds nothing more.  On the level of a
+            # there, unless it is in the Boolean-core fragment, and a
+            # tautology builds nothing more.  On the level of a
             # hit the name-order schedule follows, with no core and no pin at
             # 1, when the deciding one has either.
-            reaches = (cex is None or cex.n > 2) and bool(free_vars(f))
+            reaches = (cex is None or cex.n > 2) and bool(free_vars(f)) and not in_core_fragment(f)
             first = [(pins, cores) for _, _, pins, cores in scheduled[:1]]
             rerun = cex is not None and any(cores or any(pins.values()) for pins, cores in first)
             assert len(scheduled) == reaches + rerun
@@ -1112,7 +1221,7 @@ class TestSingletonExtension:
         for f in corpus:
             names, steps = formula._compile(f)
             k = len(names)
-            deciding = formula._schedule(steps, k, *formula._analyse(steps))
+            deciding = formula._schedule(steps, k, *formula._analyse(steps)[:2])
             verdicts = [formula._truth_table(steps, k) is not None]
             verdicts += [scan_or_fold(formula._level(n), deciding) is not None for n in range(3, 6)]
             assert verdicts == sorted(verdicts)
